@@ -1,11 +1,12 @@
-"""Pure-Python inner loops for series and matrix arithmetic.
+"""Inner loops for series and matrix arithmetic.
 
-These mirror the compiled kernels in ``_kernels.pyx``; whichever imports
-cleanly wins (see ``__init__``).  All functions operate on plain lists of
-exact-number objects (``fractions.Fraction``, ``gmpy2.mpq`` or ``int``)
-and never introduce floats.
+All functions operate on plain lists of exact numbers (``int`` or
+``fractions.Fraction``) and never introduce floats.
 """
 
+from fractions import Fraction
+
+# perfbench/run.py records this name in every run record
 BACKEND = "python"
 
 
@@ -28,8 +29,12 @@ def convolve(a, b, n):
 
 
 def reciprocal(b, n):
-    """First ``n`` coefficients of 1/B for a list with invertible b[0]."""
-    inv0 = 1 / b[0]
+    """First ``n`` coefficients of 1/B for a list with invertible b[0].
+
+    Integer input stays integer when b[0] is a unit (+1 or -1).
+    """
+    b0 = b[0]
+    inv0 = b0 if b0 in (1, -1) else Fraction(1, b0)
     out = [inv0]
     lb = len(b)
     for k in range(1, n):

@@ -14,14 +14,11 @@ from math import gcd
 from typing import Dict, List, Optional
 
 from .linalg import nullspace_rational, solve_exact
+from .series import _frac
 
 
 class SpecError(ValueError):
     pass
-
-
-def _as_fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -38,7 +35,7 @@ class RQSpec:
     p: Fraction
 
     def __init__(self, a, b, p):
-        a, b, p = _as_fraction(a), _as_fraction(b), _as_fraction(p)
+        a, b, p = _frac(a), _frac(b), _frac(p)
         if a <= 0 or b <= 0 or p <= 0:
             raise SpecError("spec entries must be positive")
         if a == b:
@@ -151,10 +148,6 @@ class TauTable:
         for n in range(1, n_max + 1):
             self.tau_cache[n] = totals[n]
         return self
-
-
-def tau(spec: RQSpec, n: int) -> int:
-    return TauTable(spec).tau(n)
 
 
 @dataclass

@@ -14,6 +14,8 @@ import json
 import sys
 from fractions import Fraction
 
+import mpmath
+
 from . import modeq, numerics, quantities
 from .characters import RQSpec, SpecError, TauTable, tau_relation_scan
 from .modeq import MiningJob, SeriesRecipe
@@ -43,6 +45,24 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except ValueError as exc:
         raise UsageError(f"bad rational {text!r}: {exc}")
+
+
+def _positive_fraction(text: str) -> Fraction:
+    value = _fraction(text)
+    if value <= 0:
+        raise UsageError(f"substitution power must be positive, got {text!r}")
+    return value
+
+
+def _number(text: str) -> str:
+    """A finite decimal, checked here and kept as typed for the report."""
+    try:
+        finite = mpmath.isfinite(mpmath.mpf(text))
+    except ValueError:
+        finite = False
+    if not finite:
+        raise UsageError(f"bad number {text!r}")
+    return text
 
 
 def build_parser() -> _Parser:
@@ -78,9 +98,9 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("mine", help="mine bivariate modular equations")
     sp.add_argument("--spec", required=True, type=_spec)
     sp.add_argument("--spec2", type=_spec, help="second quantity (default: same)")
-    sp.add_argument("--alpha", default="1", type=_fraction,
+    sp.add_argument("--alpha", default="1", type=_positive_fraction,
                     help="substitution power for u")
-    sp.add_argument("--beta", default="2", type=_fraction,
+    sp.add_argument("--beta", default="2", type=_positive_fraction,
                     help="substitution power for v")
     shape = sp.add_mutually_exclusive_group()
     shape.add_argument("--box", type=int, help="box shape 0<=i,j<=s")
@@ -97,7 +117,8 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("eval", help="numeric value of a quantity")
     sp.add_argument("--spec", required=True, type=_spec)
     point = sp.add_mutually_exclusive_group(required=True)
-    point.add_argument("--q", help="evaluation point in (0,1)")
+    point.add_argument("--q", type=_number,
+                       help="evaluation point in (0,1)")
     point.add_argument("--r", type=_fraction,
                        help="evaluate at the nome e^(-pi sqrt(r))")
     sp.add_argument("--digits", type=int, default=50)
@@ -111,13 +132,14 @@ def build_parser() -> _Parser:
         "theta-coherence", "root-of-unity"])
     sp.add_argument("--spec", type=_spec)
     sp.add_argument("--r", type=_fraction, default=Fraction(1))
-    sp.add_argument("--q")
+    sp.add_argument("--q", type=_number)
     sp.add_argument("--digits", type=int, default=50)
     common(sp)
 
     sp = sub.add_parser("recognize", help="integer polynomial for a constant")
     target = sp.add_mutually_exclusive_group(required=True)
-    target.add_argument("--value", help="decimal constant to recognize")
+    target.add_argument("--value", type=_number,
+                        help="decimal constant to recognize")
     target.add_argument("--spec", type=_spec,
                         help="recognize the quantity at --r instead")
     sp.add_argument("--r", type=_fraction, default=Fraction(1))

@@ -9,44 +9,25 @@ results reproducible bit for bit.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import List, Sequence
 
 from ._backend import bareiss_rows
 
 
-def _to_int_rows(matrix) -> List[List[int]]:
-    """Clear denominators row by row; accepts ints, Fractions or mpq."""
-    rows = []
-    for row in matrix:
-        fr = [Fraction(int(x.numerator), int(x.denominator))
-              if not isinstance(x, int) else Fraction(x) for x in row]
-        mult = 1
-        for x in fr:
-            mult = mult * x.denominator // gcd(mult, x.denominator)
-        ints = [int(x * mult) for x in fr]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        rows.append(ints)
-    return rows
+def _coprime_ints(vector) -> List[int]:
+    """Clear denominators of ints and Fractions and divide out the gcd."""
+    mult = 1
+    for x in vector:
+        mult = lcm(mult, x.denominator)
+    ints = [x.numerator * (mult // x.denominator) for x in vector]
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
 
 
 def primitive(vector: Sequence[Fraction]) -> List[int]:
     """Scale to coprime integers with positive leading nonzero entry."""
-    fr = [x if isinstance(x, Fraction) else
-          Fraction(int(x.numerator), int(x.denominator)) for x in vector]
-    mult = 1
-    for x in fr:
-        mult = mult * x.denominator // gcd(mult, x.denominator)
-    ints = [int(x * mult) for x in fr]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g:
-        ints = [v // g for v in ints]
+    ints = _coprime_ints(vector)
     for v in ints:
         if v:
             if v < 0:
@@ -98,7 +79,7 @@ def nullspace_rational(matrix) -> List[List[int]]:
     columns), matching the shape of a reduced-echelon solve; each vector
     is scaled to coprime integers with positive leading entry.
     """
-    rows = _to_int_rows(matrix)
+    rows = [_coprime_ints(row) for row in matrix]
     if not rows:
         return []
     ncols = len(rows[0])
@@ -128,7 +109,7 @@ def solve_exact(matrix, rhs):
     variables are pinned to zero; inconsistency returns None.
     """
     aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    rows = _to_int_rows(aug)
+    rows = [_coprime_ints(row) for row in aug]
     ncols = len(rows[0]) - 1
     piv_cols = row_echelon_int(rows)
     if ncols in piv_cols:

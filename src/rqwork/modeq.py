@@ -18,13 +18,9 @@ from . import quantities as Qm
 from . import series as S
 from .characters import RQSpec, SpecError
 from .linalg import nullspace_rational
-from .series import FormalSeries
+from .series import FormalSeries, _frac
 
 GUARD_ROWS = 30
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -90,7 +86,7 @@ class BivariatePolynomial:
         rows = {}
         for (i, j), c in self.terms:
             rows.setdefault(j, {})[i] = c
-        order = min(_frac(u.trunc), _frac(v.trunc))
+        order = min(u.trunc, v.trunc)
         result = None
         for j in range(max_j, -1, -1):
             if result is not None:
@@ -183,7 +179,7 @@ def _monomial_series(u: FormalSeries, v: FormalSeries,
     """All u^i v^j columns, built incrementally."""
     max_i = max(i for i, _ in monomials)
     max_j = max(j for _, j in monomials)
-    order = min(_frac(u.trunc), _frac(v.trunc))
+    order = min(u.trunc, v.trunc)
     one = S.constant(1, order)
     u_pows = [one]
     for _ in range(max_i):
@@ -204,9 +200,9 @@ def _coefficient_matrix(columns: List[FormalSeries]):
     denom = 1
     for col in columns:
         denom = lcm(denom, col.denom)
-    lo = min(_frac(col.lead_exponent if not col.is_zero else col.trunc)
+    lo = min(col.lead_exponent if not col.is_zero else col.trunc
              for col in columns)
-    hi = min(_frac(col.trunc) for col in columns)
+    hi = min(col.trunc for col in columns)
     n_lo = int(lo * denom)
     n_hi = int(hi * denom)
     rows = []
@@ -255,7 +251,7 @@ def mine(job: MiningJob, report: Optional[dict] = None
     re_order = order * job.reverify_factor
     u2 = job.u.build(re_order)
     v2 = job.v.build(re_order)
-    re_order = min(re_order, _frac(u2.trunc), _frac(v2.trunc))
+    re_order = min(re_order, u2.trunc, v2.trunc)
     kept, dropped = [], []
     for poly in candidates:
         verdict = verify_relation(poly, u2, v2, re_order)
@@ -290,7 +286,7 @@ def verify_relation(poly: BivariatePolynomial, u: FormalSeries,
                     v: FormalSeries, order) -> dict:
     """Substitute and report the first nonzero residual exponent, if any."""
     order = _frac(order)
-    avail = min(_frac(u.trunc), _frac(v.trunc))
+    avail = min(u.trunc, v.trunc)
     if order > avail:
         raise MiningError(
             f"verification to order {order} requested but series known "
@@ -299,7 +295,7 @@ def verify_relation(poly: BivariatePolynomial, u: FormalSeries,
     for e, c in residual.terms():
         if c and e <= order:
             return {"verdict": "fails_at", "fails_at": str(e)}
-    checked = min(_frac(residual.trunc), order)
+    checked = min(residual.trunc, order)
     return {"verdict": "holds_to_order", "order": str(checked)}
 
 

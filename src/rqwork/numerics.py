@@ -21,15 +21,11 @@ from . import quantities as Qm
 from . import series as S
 from .characters import RQSpec
 from .modeq import n_series
-from .series import FormalSeries
+from .series import FormalSeries, _frac
 
 
 class NumericsError(ValueError):
     pass
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -80,18 +76,25 @@ def _to_mpf(mp, x):
 
 def elliptic_K(k, ctx: PrecisionContext):
     """Complete elliptic integral of the first kind by AGM iteration."""
-    K, _ = _agm_K_E(k, ctx)
+    mp = ctx.mp
+    k = mp.mpf(k)
+    K, _ = _agm_K_E(k, mp.sqrt(1 - k * k), ctx)
     return K
 
 
-def _agm_K_E(k, ctx: PrecisionContext):
-    """(K(k), E(k)) from one AGM run; modulus convention, not parameter."""
+def _agm_K_E(k, kc, ctx: PrecisionContext):
+    """(K(k), E(k)) from one AGM run; modulus convention, not parameter.
+
+    ``kc`` is the complementary modulus sqrt(1 - k^2).  Callers that hold
+    it pass it in: for small k, k' = sqrt(1 - k^2) rounds to within k^2 of
+    1, and rebuilding k from k' would lose the digits of k^2.
+    """
     mp = ctx.mp
     k = mp.mpf(k) if not isinstance(k, mp.mpf) else k
     if not (0 <= k < 1):
         raise NumericsError(f"modulus must lie in [0,1), got {k}")
     a = mp.mpf(1)
-    b = mp.sqrt(1 - k * k)
+    b = kc
     c = k
     csum = c * c / 2
     scale = mp.mpf(1)
@@ -107,17 +110,19 @@ def _agm_K_E(k, ctx: PrecisionContext):
     return K, E
 
 
-def _dK_dk(k, ctx: PrecisionContext):
-    mp = ctx.mp
-    K, E = _agm_K_E(k, ctx)
-    return (E - (1 - k * k) * K) / (k * (1 - k * k))
+def _dK_dk(k, kc, ctx: PrecisionContext):
+    """dK/dk at modulus k with complementary modulus kc."""
+    K, E = _agm_K_E(k, kc, ctx)
+    kc2 = kc * kc
+    return (E - kc2 * K) / (k * kc2)
 
 
 def singular_modulus(r, ctx: PrecisionContext) -> EllipticData:
     """Solve K(k')/K(k) = sqrt(r) for the singular modulus k_r.
 
     Bisection to ~12 digits for a safe bracket, then Newton; the
-    derivative of the ratio comes from the AGM-computed E.  Iteration
+    derivative of the ratio comes from the AGM-computed E.  K(k') runs
+    the AGM on (1, k) directly, so small k keeps its digits.  Iteration
     cap 200, after which non-convergence is an error.
     """
     mp = ctx.mp
@@ -126,9 +131,12 @@ def singular_modulus(r, ctx: PrecisionContext) -> EllipticData:
         raise NumericsError("r must be positive")
     target = mp.sqrt(_to_mpf(mp, r))
 
+    def K(k, kc):
+        return _agm_K_E(k, kc, ctx)[0]
+
     def ratio(k):
         kp = mp.sqrt(1 - k * k)
-        return elliptic_K(kp, ctx) / elliptic_K(k, ctx) - target
+        return K(kp, k) / K(k, kp) - target
 
     lo = mp.mpf(10) ** (-ctx.digits)
     hi = 1 - lo
@@ -143,10 +151,11 @@ def singular_modulus(r, ctx: PrecisionContext) -> EllipticData:
     tol = mp.mpf(10) ** (-(ctx.digits + ctx.guard - 3))
     for step in range(200):
         kp = mp.sqrt(1 - k * k)
-        Kk = elliptic_K(k, ctx)
-        Kp = elliptic_K(kp, ctx)
+        Kk = K(k, kp)
+        Kp = K(kp, k)
         g = Kp / Kk - target
-        dg = (_dK_dk(kp, ctx) * (-k / kp) * Kk - Kp * _dK_dk(k, ctx)) / (Kk * Kk)
+        dg = (_dK_dk(kp, k, ctx) * (-k / kp) * Kk
+              - Kp * _dK_dk(k, kp, ctx)) / (Kk * Kk)
         delta = g / dg
         k = k - delta
         if abs(delta) < tol:
@@ -154,7 +163,7 @@ def singular_modulus(r, ctx: PrecisionContext) -> EllipticData:
     else:
         raise NumericsError(f"singular modulus did not converge for r={r}")
     kp = mp.sqrt(1 - k * k)
-    return EllipticData(r=r, k=k, kp=kp, K=elliptic_K(k, ctx),
+    return EllipticData(r=r, k=k, kp=kp, K=K(k, kp),
                         q=mp.exp(-mp.pi * mp.sqrt(_to_mpf(mp, r))))
 
 
@@ -184,20 +193,6 @@ def eval_agile(a_exp, p_exp, q, ctx: PrecisionContext):
             raise NumericsError("agile product failed to converge")
 
 
-def eval_f(q, ctx: PrecisionContext):
-    """f(-q) = prod (1 - q^n) numerically."""
-    mp = ctx.mp
-    prod = mp.mpf(1) * (1 + 0 * q)
-    tol = ctx.tail_tolerance
-    n = 1
-    while True:
-        t = 1 - q ** n
-        prod *= t
-        if abs(t - 1) < tol:
-            return prod
-        n += 1
-
-
 def eval_rq(spec: RQSpec, q, ctx: PrecisionContext):
     """R(a,b,p;q) for real q in (0,1), via the agile products."""
     mp = ctx.mp
@@ -211,8 +206,7 @@ def eval_series(series: FormalSeries, q, ctx: PrecisionContext):
     mp = ctx.mp
     total = mp.mpf(0) * (1 + 0 * q)
     for e, c in series.terms():
-        e = _frac(e)
-        num = mp.mpf(int(c.numerator)) / mp.mpf(int(c.denominator))
+        num = mp.mpf(c.numerator) / mp.mpf(c.denominator)
         total += num * q ** (mp.mpf(e.numerator) / e.denominator)
     return total
 
@@ -220,8 +214,8 @@ def eval_series(series: FormalSeries, q, ctx: PrecisionContext):
 def series_derivative(series: FormalSeries) -> FormalSeries:
     """Exact d/dq: the theta-operator series shifted down one power."""
     theta = series.q_derivative()
-    terms = [(_frac(e) - 1, c) for e, c in theta.terms() if c]
-    return S.make_series(terms, _frac(theta.trunc) - 1)
+    terms = [(e - 1, c) for e, c in theta.terms()]
+    return S.make_series(terms, theta.trunc - 1)
 
 
 def series_order_for(q_mag, ctx: PrecisionContext) -> int:

@@ -16,11 +16,7 @@ from typing import Dict, Tuple
 
 from . import series as S
 from .characters import RQSpec, SpecError, TauTable
-from .series import FormalSeries, Rational
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+from .series import FormalSeries, _frac
 
 
 def agile_series(a_exp, p_exp, order) -> FormalSeries:
@@ -63,17 +59,6 @@ def product_over_X(spec: RQSpec, order: int) -> FormalSeries:
             factor = S.make_series([(0, 1), (n, -1)], order)
             result = result * factor if x > 0 else result / factor
     return result.truncated(order)
-
-
-def log_rq_series(spec: RQSpec, order: int) -> FormalSeries:
-    """Formal log of the agile quotient: -sum tau(n) q^n / n."""
-    table = TauTable(spec).fill(int(order))
-    terms = []
-    for n in range(1, int(order) + 1):
-        t = table.tau(n)
-        if t:
-            terms.append((n, Fraction(-t, n)))
-    return S.make_series(terms, order)
 
 
 def m_series(spec: RQSpec, order: int) -> FormalSeries:
@@ -216,7 +201,7 @@ def at_minus_q(s: FormalSeries) -> FormalSeries:
             raise S.SeriesError(
                 f"exponent {e} is not an integer offset from lead {lead}")
         out.append((e, c if k.numerator % 2 == 0 else -c))
-    return S.make_series(out, _frac(s.trunc))
+    return S.make_series(out, s.trunc)
 
 
 def abs_leading(s: FormalSeries) -> FormalSeries:
@@ -259,14 +244,10 @@ class IdentityRecord:
             if c:
                 report["first_failure_exponent"] = str(e)
                 return report
-        checked = min(_frac(lhs.trunc), _frac(rhs.trunc))
+        checked = min(lhs.trunc, rhs.trunc)
         report["verified_order"] = str(checked)
         report["verified_steps"] = int(checked * self.lattice_denom)
         return report
-
-
-def _pair(lhs, rhs):
-    return lhs, rhs
 
 
 def _monomial(e, order):
@@ -293,7 +274,7 @@ def _cf_product_builder(A: int, B: int):
             / (poch(2 * A + g) * poch(2 * B + g))
         rhs = S.make_series([(Fraction(0), 1), (Fraction(B - A), -1)],
                             order) * quot
-        return _pair(lhs, rhs.truncated(order))
+        return lhs, rhs.truncated(order)
     return build
 
 
@@ -306,7 +287,7 @@ def _tau_period_builder(spec: RQSpec):
         rhs = S.make_series(
             [(n, table.tau(int(spec.p) * n)) for n in range(1, n_max + 1)],
             order)
-        return _pair(lhs, rhs)
+        return lhs, rhs
     return build
 
 
@@ -340,7 +321,7 @@ def identity_registry():
 
     def b_rr_product(order):
         v = R(RQSpec(1, 2, 5), order)
-        return _pair(v * v.substitute_power(2), R(RQSpec(1, 3, 10), order))
+        return v * v.substitute_power(2), R(RQSpec(1, 3, 10), order)
     add("rr-product-1310", "proved", 5, b_rr_product,
         "R(q)R(q^2) equals the (1,3,10) quantity")
 
@@ -348,7 +329,7 @@ def identity_registry():
         lhs = _monomial(Fraction(3, 5), order) * (
             agile_series(1, 10, order) / agile_series(3, 10, order))
         v = R(RQSpec(1, 2, 5), order)
-        return _pair(lhs.truncated(order), v * v.substitute_power(2))
+        return lhs.truncated(order), v * v.substitute_power(2)
     add("agile-quotient-1310", "proved", 5, b_agile_quotient_1310,
         "prefactored agile quotient form of the same product")
 
@@ -356,18 +337,18 @@ def identity_registry():
         lhs = agile_series(1, 10, order) * agile_series(3, 10, order)
         rhs = (fpow(1, order) * fpow(10, order)) \
             / (fpow(2, order) * fpow(5, order))
-        return _pair(lhs.truncated(order), rhs.truncated(order))
+        return lhs.truncated(order), rhs.truncated(order)
     add("agile-product-110", "proved", 1, b_agile_product_110)
 
     def b_eta_126(order):
-        return _pair(R(RQSpec(1, 2, 6), order),
-                     _eta(order, Fraction(1, 4), {1: 1, 6: 2, 2: -2, 3: -1}))
+        return (R(RQSpec(1, 2, 6), order),
+                _eta(order, Fraction(1, 4), {1: 1, 6: 2, 2: -2, 3: -1}))
     add("eta-form-126", "proved", 4, b_eta_126)
 
     def b_eta_inv_y(order):
         lhs = _monomial(Fraction(1, 8), order) / R(RQSpec(1, 2, 4), order)
         rhs = fpow(2, order) * xpow(2, order) ** 2 / fpow(1, order)
-        return _pair(lhs.truncated(order), rhs.truncated(order))
+        return lhs.truncated(order), rhs.truncated(order)
     add("eta-form-inv-124", "proved", 8, b_eta_inv_y,
         "reciprocal of the octic quantity as an eta and odd-product form")
 
@@ -375,14 +356,14 @@ def identity_registry():
         rhs = _monomial(Fraction(1, 3), order) * fpow(1, order) \
             * fpow(6, order) / (fpow(2, order) * fpow(3, order)
                                 * xpow(3, order) ** 2)
-        return _pair(R(RQSpec(1, 3, 6), order), rhs.truncated(order))
+        return R(RQSpec(1, 3, 6), order), rhs.truncated(order)
     add("eta-form-136", "proved", 3, b_eta_136,
         "cubic continued fraction as an eta and odd-product quotient")
 
     def b_eta_236(order):
         rhs = _monomial(Fraction(1, 12), order) * fpow(2, order) \
             / (fpow(6, order) * xpow(3, order) ** 2)
-        return _pair(R(RQSpec(2, 3, 6), order), rhs.truncated(order))
+        return R(RQSpec(2, 3, 6), order), rhs.truncated(order)
     add("eta-form-236", "proved", 12, b_eta_236)
 
     def _ten_eta(order):
@@ -392,7 +373,7 @@ def identity_registry():
     def b_sq_1210(order):
         v = R(RQSpec(1, 2, 5), order)
         rhs = _monomial(Fraction(1, 2), order) * _ten_eta(order) * v
-        return _pair(R(RQSpec(1, 2, 10), order) ** 2, rhs.truncated(order))
+        return R(RQSpec(1, 2, 10), order) ** 2, rhs.truncated(order)
     add("square-eta-1210", "proved", 10, b_sq_1210,
         "q^(1/2) prefactor restored; the bare eta form is off by it")
 
@@ -400,7 +381,7 @@ def identity_registry():
         v = R(RQSpec(1, 2, 5), order)
         rhs = _monomial(Fraction(1, 2), order) * _ten_eta(order) * v \
             * v.substitute_power(2) ** 2
-        return _pair(R(RQSpec(1, 4, 10), order) ** 2, rhs.truncated(order))
+        return R(RQSpec(1, 4, 10), order) ** 2, rhs.truncated(order)
     add("square-eta-1410", "proved", 10, b_sq_1410,
         "q^(1/2) prefactor restored")
 
@@ -408,14 +389,14 @@ def identity_registry():
         v = R(RQSpec(1, 2, 5), order)
         rhs = (_monomial(Fraction(-1, 2), order) / _ten_eta(order)) * v \
             * v.substitute_power(2) ** 2
-        return _pair(R(RQSpec(2, 3, 10), order) ** 2, rhs.truncated(order))
+        return R(RQSpec(2, 3, 10), order) ** 2, rhs.truncated(order)
     add("square-eta-2310", "proved", 10, b_sq_2310,
         "q^(-1/2) prefactor restored")
 
     def b_sq_3410(order):
         v = R(RQSpec(1, 2, 5), order)
         rhs = _monomial(Fraction(1, 2), order) * _ten_eta(order) / v
-        return _pair(R(RQSpec(3, 4, 10), order) ** 2, rhs.truncated(order))
+        return R(RQSpec(3, 4, 10), order) ** 2, rhs.truncated(order)
     add("square-eta-3410", "proved", 20, b_sq_3410,
         "q^(1/2) prefactor restored")
 
@@ -423,7 +404,7 @@ def identity_registry():
         v = R(RQSpec(1, 2, 5), order)
         rhs = _monomial(Fraction(-3, 5), order) * v \
             * v.substitute_power(2) * _ten_eta_sym(order)
-        return _pair(agile_series(1, 10, order) ** 2, rhs.truncated(order))
+        return agile_series(1, 10, order) ** 2, rhs.truncated(order)
 
     def _ten_eta_sym(order):
         return (fpow(1, order) * fpow(10, order)) \
@@ -435,7 +416,7 @@ def identity_registry():
         v = R(RQSpec(1, 2, 5), order)
         rhs = _monomial(Fraction(3, 5), order) * _ten_eta_sym(order) \
             / (v * v.substitute_power(2))
-        return _pair(agile_series(3, 10, order) ** 2, rhs.truncated(order))
+        return agile_series(3, 10, order) ** 2, rhs.truncated(order)
     add("agile-310-squared", "proved", 5, b_agile_310_sq,
         "square of the radical form for the second decic agile")
 
@@ -444,7 +425,7 @@ def identity_registry():
         lhs = v.inverse() - S.constant(1, order) - v
         rhs = fpow(Fraction(1, 5), order) \
             / (_monomial(Fraction(1, 5), order) * fpow(5, order))
-        return _pair(lhs.truncated(order), rhs.truncated(order))
+        return lhs.truncated(order), rhs.truncated(order)
     add("rr-reciprocal-sum", "proved", 5, b_rr_recip)
 
     def b_rr_recip5(order):
@@ -452,14 +433,14 @@ def identity_registry():
         lhs = v5.inverse() - S.constant(11, order) - v5
         rhs = fpow(1, order) ** 6 / (_monomial(1, order)
                                      * fpow(5, order) ** 6)
-        return _pair(lhs.truncated(order), rhs.truncated(order))
+        return lhs.truncated(order), rhs.truncated(order)
     add("rr-reciprocal-sum-5th", "proved", 1, b_rr_recip5)
 
     def b_agile_modular_p5(order):
         x = nag(1, 5, order)
         y = nag(3, 5, order)
         lhs = x ** 10 - y ** 10 + 11 * (x ** 5 * y ** 5) + x ** 11 * y ** 11
-        return _pair(lhs.truncated(order), S.zero(order))
+        return lhs.truncated(order), S.zero(order)
     add("agile-modular-p5", "proved", 60, b_agile_modular_p5,
         "normalized agiles; the fifth-power reciprocal sum in disguise")
 
@@ -468,7 +449,7 @@ def identity_registry():
         u = R(RQSpec(1, 3, 10), order)
         v = R(RQSpec(1, 2, 5), order)
         lhs = u ** 3 - u * v + u ** 2 * v ** 3 + v ** 4
-        return _pair(lhs.truncated(order), S.zero(order))
+        return lhs.truncated(order), S.zero(order)
     add("poly-1310-rr", "conjectured", 5, b_poly_1310)
 
     def b_minus_q_poly(order):
@@ -478,7 +459,7 @@ def identity_registry():
         lhs = (-1 * v + w - (v ** 5 * w) + 5 * (v ** 4 * w ** 2)
                - 10 * (v ** 3 * w ** 3) + 5 * (v ** 2 * w ** 4)
                - v * w ** 5 - v ** 6 * w ** 5 + v ** 5 * w ** 6)
-        return _pair(lhs.truncated(order), S.zero(order))
+        return lhs.truncated(order), S.zero(order)
     add("rr-minus-q-poly", "conjectured", 5, b_minus_q_poly,
         "signed relation between R(q) and R(-q) under the real "
         "fifth-root branch, the reading under which it closes")
@@ -486,58 +467,57 @@ def identity_registry():
     def b_even_doubling_m(order):
         m = m_series(RQSpec(1, 3, 8), int(order))
         lhs = 2 * m.substitute_power(2)
-        return _pair(lhs.truncated(order),
-                     (m + at_minus_q(m)).truncated(order))
+        return lhs.truncated(order), (m + at_minus_q(m)).truncated(order)
     add("m-even-doubling-138", "conjectured", 1, b_even_doubling_m,
         "doubling law for the log-derivative when a,b odd and p even")
 
     def b_even_doubling_r(order):
         h = R(RQSpec(1, 3, 8), order)
         lhs = h * abs_leading(at_minus_q(h))
-        return _pair(lhs.truncated(order),
-                     h.substitute_power(2).truncated(order))
+        return (lhs.truncated(order),
+                h.substitute_power(2).truncated(order))
     add("r-even-doubling-138", "conjectured", 2, b_even_doubling_r)
 
     def b_even_doubling_1310(order):
         u = R(RQSpec(1, 3, 10), order)
         lhs = u * abs_leading(at_minus_q(u))
-        return _pair(lhs.truncated(order),
-                     u.substitute_power(2).truncated(order))
+        return (lhs.truncated(order),
+                u.substitute_power(2).truncated(order))
     add("r-even-doubling-1310", "conjectured", 5, b_even_doubling_1310)
 
     def b_modular_p6_cubed(order):
         x = nag(1, 6, order, power=3)
         y = nag(3, 6, order)
         lhs = 8 * x ** 9 - y ** 3 + x ** 12 * y ** 3 + x ** 3 * y ** 6
-        return _pair(lhs.truncated(order), S.zero(order))
+        return lhs.truncated(order), S.zero(order)
     add("agile-modular-p6-cubed", "conjectured", 12, b_modular_p6_cubed)
 
     def b_modular_p6_squared(order):
         x = nag(1, 6, order, power=2)
         y = nag(2, 6, order)
         lhs = -9 * x ** 8 + y ** 4 + x ** 12 * y ** 4 - x ** 4 * y ** 8
-        return _pair(lhs.truncated(order), S.zero(order))
+        return lhs.truncated(order), S.zero(order)
     add("agile-modular-p6-squared", "conjectured", 6, b_modular_p6_squared)
 
     def b_modular_p4(order):
         x = nag(1, 4, order)
         y = nag(2, 4, order)
         lhs = 16 * x ** 8 + x ** 16 * y ** 4 - y ** 8
-        return _pair(lhs.truncated(order), S.zero(order))
+        return lhs.truncated(order), S.zero(order)
     add("agile-modular-p4", "conjectured", 24, b_modular_p4)
 
     def b_y_x_product(order):
         yq = R(RQSpec(1, 2, 4), order)
         lhs = (yq ** 16).inverse() - 16 * (yq ** 8).inverse()
         rhs = _monomial(-2, order) * xpow(2, order) ** 24
-        return _pair(lhs.truncated(order), rhs.truncated(order))
+        return lhs.truncated(order), rhs.truncated(order)
     add("octic-x-product", "conjectured", 2, b_y_x_product)
 
     def b_modular_p6(order):
         x = nag(1, 6, order)
         y = nag(3, 6, order)
         lhs = 8 * x ** 3 - y ** 3 + x ** 12 * y ** 3 + x ** 9 * y ** 6
-        return _pair(lhs.truncated(order), S.zero(order))
+        return lhs.truncated(order), S.zero(order)
     add("agile-modular-p6", "conjectured", 12, b_modular_p6)
 
     def b_cubic_x_product(order):
@@ -545,7 +525,7 @@ def identity_registry():
         one = S.constant(1, order)
         lhs = (one - 8 * v ** 3) / (v ** 9 * (one + v ** 3))
         rhs = _monomial(-3, order) * xpow(3, order) ** 24
-        return _pair(lhs.truncated(order), rhs.truncated(order))
+        return lhs.truncated(order), rhs.truncated(order)
     add("cubic-x-product", "conjectured", 3, b_cubic_x_product)
 
     return entries

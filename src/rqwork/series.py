@@ -16,13 +16,9 @@ from typing import Iterable, Sequence, Tuple, Union
 
 from ._backend import convolve, reciprocal
 
-try:
-    from gmpy2 import mpq as Rational
-
-    COEFF_BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - environment dependent
-    Rational = Fraction
-    COEFF_BACKEND = "fractions"
+# perfbench/run.py records these two names in every run record
+COEFF_BACKEND = "fractions"
+Rational = Fraction
 
 RationalLike = Union[int, str, Fraction]
 
@@ -36,17 +32,8 @@ class TruncationError(SeriesError):
 
 
 def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, tuple):
-        return Fraction(*x)
-    return Fraction(x)
-
-
-def _coeff(x):
-    if isinstance(x, (Fraction, int)):
-        return Rational(x)
-    return Rational(str(x)) if isinstance(x, str) else Rational(x)
+    """Exact rational from an int, Fraction or decimal/ratio string."""
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 class FormalSeries:
@@ -60,15 +47,10 @@ class FormalSeries:
 
     __slots__ = ("denom", "lead", "coeffs")
 
-    def __init__(self, denom: int, lead: int, coeffs: Sequence, *, _raw=False):
+    def __init__(self, denom: int, lead: int, coeffs: Sequence):
         if denom <= 0:
             raise SeriesError("denom must be positive")
-        if _raw:
-            self.denom = denom
-            self.lead = lead
-            self.coeffs = coeffs
-            return
-        coeffs = [_coeff(c) for c in coeffs]
+        coeffs = [_frac(c) for c in coeffs]
         # strip leading zeros so that coeffs[0] != 0 for nonzero series
         k = 0
         while k < len(coeffs) and not coeffs[k]:
@@ -102,7 +84,7 @@ class FormalSeries:
         trunc = self.lead + len(self.coeffs) - 1
         new_lead = self.lead // g
         new_trunc = trunc // g  # conservative floor onto the coarse lattice
-        new = [Rational(0)] * (new_trunc - new_lead + 1)
+        new = [Fraction(0)] * (new_trunc - new_lead + 1)
         for i, c in enumerate(self.coeffs):
             if c:
                 new[(self.lead + i) // g - new_lead] = c
@@ -146,10 +128,10 @@ class FormalSeries:
                 f"coefficient at {e} beyond truncation {self.trunc}")
         num = e * self.denom
         if num.denominator != 1:
-            return Rational(0)
+            return Fraction(0)
         i = int(num) - self.lead
         if i < 0 or i >= len(self.coeffs):
-            return Rational(0)
+            return Fraction(0)
         return self.coeffs[i]
 
     def terms(self) -> Iterable[Tuple[Fraction, object]]:
@@ -230,7 +212,7 @@ class FormalSeries:
             out.coeffs = ()
             return out
         n = (len(self.coeffs) - 1) * m + 1
-        new = [Rational(0)] * n
+        new = [Fraction(0)] * n
         for i, c in enumerate(self.coeffs):
             new[i * m] = c
         out = FormalSeries.__new__(FormalSeries)
@@ -256,7 +238,7 @@ class FormalSeries:
         n = trunc - lead + 1
         if n <= 0:
             return FormalSeries(d, trunc + 1, ())
-        out = [Rational(0)] * n
+        out = [Fraction(0)] * n
         for i, c in enumerate(a.coeffs):
             j = a.lead + i - lead
             if 0 <= j < n:
@@ -284,8 +266,8 @@ class FormalSeries:
         return _as_series(other, like=self) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) or type(other) is Rational:
-            c = _coeff(other)
+        if isinstance(other, (int, Fraction)):
+            c = _frac(other)
             if not c:
                 return FormalSeries(self.denom,
                                     self.lead + len(self.coeffs), ())
@@ -298,13 +280,7 @@ class FormalSeries:
         a, b, d = self._aligned(other)
         if a.is_zero or b.is_zero:
             # zero to the best provable order
-            if a.is_zero and b.is_zero:
-                lead = min(a.lead + b.lead, a.lead + b.lead)
-            elif a.is_zero:
-                lead = a.lead + b.lead
-            else:
-                lead = b.lead + a.lead
-            return FormalSeries(d, lead, ())
+            return FormalSeries(d, a.lead + b.lead, ())
         n = min(len(a.coeffs), len(b.coeffs))
         out = convolve(list(a.coeffs), list(b.coeffs), n)
         return FormalSeries(d, a.lead + b.lead, out)
@@ -313,8 +289,8 @@ class FormalSeries:
         return self.__mul__(other)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)) or type(other) is Rational:
-            return self * (Fraction(1, 1) / Fraction(_frac_of(other)))
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / _frac(other))
         other = _as_series(other, like=self)
         return self * other.inverse()
 
@@ -357,14 +333,14 @@ class FormalSeries:
             trunc = (self.lead - 1) * step
             return FormalSeries(d, trunc + 1, ())
         n = (len(self.coeffs) - 1) * step + 1
-        new = [Rational(0)] * n
+        new = [Fraction(0)] * n
         for i, c in enumerate(self.coeffs):
             new[i * step] = c
         return FormalSeries(d, self.lead * step, new)
 
     def q_derivative(self) -> "FormalSeries":
         """The theta operator q*d/dq: c*q^e -> c*e*q^e."""
-        out = [c * Rational(self.lead + i, self.denom) if c else c
+        out = [c * Fraction(self.lead + i, self.denom) if c else c
                for i, c in enumerate(self.coeffs)]
         return FormalSeries(self.denom, self.lead, out)
 
@@ -380,21 +356,15 @@ class FormalSeries:
         return FormalSeries(self.denom, self.lead, list(self.coeffs[:n]))
 
 
-def _frac_of(x):
-    if type(x) is Rational and Rational is not Fraction:
-        return Fraction(int(x.numerator), int(x.denominator))
-    return _frac(x)
-
-
 def _as_series(x, like: FormalSeries) -> FormalSeries:
     if isinstance(x, FormalSeries):
         return x
-    c = _coeff(x)
+    c = _frac(x)
     # constant known to the same absolute truncation as ``like``
     trunc = like.lead + len(like.coeffs) - 1
     if trunc < 0:
         trunc = 0
-    out = [Rational(0)] * (trunc + 1)
+    out = [Fraction(0)] * (trunc + 1)
     out[0] = c
     return FormalSeries(like.denom, 0, out)
 
@@ -407,7 +377,7 @@ def make_series(terms, order: RationalLike) -> FormalSeries:
     Exponents must be distinct and not exceed ``order``.
     """
     order = _frac(order)
-    pairs = [(_frac(e), _coeff(c)) for e, c in terms]
+    pairs = [(_frac(e), _frac(c)) for e, c in terms]
     exps = [e for e, _ in pairs]
     if len(set(exps)) != len(exps):
         raise SeriesError("duplicate exponents")
@@ -422,7 +392,7 @@ def make_series(terms, order: RationalLike) -> FormalSeries:
         d = d * e.denominator // gcd(d, e.denominator)
     trunc = (order.numerator * d) // order.denominator
     lead = min(int(e * d) for e in exps)
-    out = [Rational(0)] * (trunc - lead + 1)
+    out = [Fraction(0)] * (trunc - lead + 1)
     for e, c in pairs:
         out[int(e * d) - lead] += c
     return FormalSeries(d, lead, out)
@@ -436,29 +406,6 @@ def zero(order: RationalLike) -> FormalSeries:
     order = _frac(order)
     d = order.denominator
     return FormalSeries(d, order.numerator + 1, ())
-
-
-def arith(op: str, a: FormalSeries, b) -> FormalSeries:
-    """Named dispatch over the ring operations (CLI convenience)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "pow_int":
-        return a ** int(b)
-    raise SeriesError(f"unknown operation {op!r}")
-
-
-def substitute_power(a: FormalSeries, m: RationalLike) -> FormalSeries:
-    return a.substitute_power(m)
-
-
-def q_derivative(a: FormalSeries) -> FormalSeries:
-    return a.q_derivative()
 
 
 def pochhammer_inf(a_exp: RationalLike, p_exp: RationalLike,

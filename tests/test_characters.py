@@ -6,7 +6,7 @@ import pytest
 
 from rqwork.characters import (DivisorCombination, RQSpec, SpecError,
                                TauRelation, TauTable, chi,
-                               decompose_character, tau, tau_relation_scan)
+                               decompose_character, tau_relation_scan)
 
 
 class TestSpec:
@@ -69,7 +69,6 @@ class TestTau:
         table = TauTable(spec)
         for n, v in expect.items():
             assert table.tau(n) == v, n
-            assert tau(spec, n) == v, n
 
     def test_fill_matches_direct(self):
         spec = RQSpec(1, 3, 7)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from rqwork import cli, quantities
 from rqwork.cli import SCHEMA, dispatch
 from rqwork.quantities import IdentityRecord
@@ -29,6 +31,17 @@ class TestExitCodes:
 
     def test_usage_error_bad_q(self, capsys):
         assert dispatch(["eval", "--spec", "1,2,5", "--q", "1.5"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--spec", "1,2,5", "--q", "abc"],
+        ["recognize", "--value", "abc"],
+        ["recognize", "--value", "inf"],
+        ["mine", "--spec", "1,2,5", "--alpha", "0"],
+        ["mine", "--spec", "1,2,5", "--beta", "0"],
+    ])
+    def test_usage_error_bad_number(self, capsys, argv):
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err.startswith("rq: ")
 
     def test_success(self, capsys):
         code, reports, _ = run(capsys, "tau", "--spec", "1,2,5", "--nmax", "8")

@@ -37,6 +37,16 @@ class TestElliptic:
         d4 = numerics.singular_modulus(4, ctx)
         assert abs(d4.k - (3 - 2 * mp.sqrt(2))) < mp.mpf(10) ** -38
 
+    @pytest.mark.parametrize("r,digits", [(58, 30), (64, 50), (100, 50)])
+    def test_singular_modulus_small_k(self, r, digits):
+        # k is below 1e-4 here, where rebuilding k from k' loses the
+        # digits of k^2; compare with k = theta_2(q)^2 / theta_3(q)^2
+        c = context(digits)
+        mp = c.mp
+        d = numerics.singular_modulus(r, c)
+        ref = (mp.jtheta(2, 0, d.q) / mp.jtheta(3, 0, d.q)) ** 2
+        assert abs(d.k - ref) < ref * mp.mpf(10) ** -digits
+
     def test_singular_defining_property(self, ctx):
         mp = ctx.mp
         for r in (2, 3, 5, 7):
@@ -59,8 +69,9 @@ class TestProductEvaluation:
     def test_f_is_euler_product(self, ctx):
         mp = ctx.mp
         q = mp.mpf("0.3")
-        # f(-q)^2 = [1,3;q^... ] shortcut: just check against qp
-        assert abs(numerics.eval_f(q, ctx)
+        order = numerics.series_order_for(0.3, ctx)
+        f = quantities.eta_series("f_minus_q", order)
+        assert abs(numerics.eval_series(f, q, ctx)
                    - mp.qp(q)) < mp.mpf(10) ** -36
 
     def test_rq_is_prefactored_quotient(self, ctx):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rqwork import series
+from rqwork import _backend, series
 from rqwork.series import (FormalSeries, SeriesError, TruncationError,
                            constant, make_series, pochhammer_inf, zero)
 
@@ -246,10 +246,22 @@ def test_derivative_leibniz(a, b):
     assert lhs.agrees_with(rhs, min(lhs.trunc, rhs.trunc))
 
 
-def test_module_helpers_match_methods():
-    s = make_series([(0, 1), (2, 3)], 8)
-    assert series.substitute_power(s, 2) == s.substitute_power(2)
-    assert series.q_derivative(s) == s.q_derivative()
-    assert series.arith("mul", s, s) == s * s
-    with pytest.raises(SeriesError):
-        series.arith("frobnicate", s, s)
+@settings(max_examples=60, deadline=None)
+@given(st.lists(coeff_st, min_size=1, max_size=8),
+       st.integers(min_value=1, max_value=12))
+def test_reciprocal_exact_on_ints(b, n):
+    if b[0] == 0:
+        b[0] = 1
+    got = _backend.reciprocal(b, n)
+    assert got == _backend.reciprocal([Fraction(x) for x in b], n)
+    if b[0] in (1, -1):
+        assert all(type(c) is int for c in got)
+    else:
+        assert all(isinstance(c, Fraction) for c in got)
+
+
+def test_environment_constants():
+    # perfbench/run.py records these in every run record
+    assert _backend.BACKEND == "python"
+    assert series.COEFF_BACKEND == "fractions"
+    assert series.Rational is Fraction
