@@ -330,8 +330,9 @@ class FormalSeries:
         d = self.denom * m.denominator
         step = m.numerator
         if self.is_zero:
-            trunc = (self.lead - 1) * step
-            return FormalSeries(d, trunc + 1, ())
+            # O(q^L) becomes O(q^(L*m)) exactly, so that substitution
+            # commutes with multiplication of zero series
+            return FormalSeries(d, self.lead * step, ())
         n = (len(self.coeffs) - 1) * step + 1
         new = [Fraction(0)] * n
         for i, c in enumerate(self.coeffs):

@@ -65,6 +65,16 @@ class TestLogDerivative:
             rhs = (Q.m_series(spec, 40) * r).truncated(lhs.trunc)
             assert lhs.agrees_with(rhs, 39), abp
 
+    def test_log_series_derivative(self):
+        # the formal log of R is -sum tau(n) q^n / n; its q-derivative is M - Q
+        spec = RQSpec(2, 3, 11)
+        table = TauTable(spec).fill(40)
+        log_r = S.make_series(
+            [(n, Fraction(-table.tau(n), n)) for n in range(1, 41)], 40)
+        lhs = log_r.q_derivative()
+        rhs = Q.m_series(spec, 40) - S.constant(spec.Q, 40)
+        assert lhs.agrees_with(rhs, 40)
+
 
 class TestEtaBuilders:
     def test_f_minus_q_is_pochhammer(self):

@@ -129,6 +129,13 @@ class TestStructureOps:
         assert t.coeff(2) == 1 and t.coeff(4) == 3
         assert t.trunc == 12
 
+    def test_substitute_power_of_zero(self):
+        # O(q^2) under q -> q^2 is O(q^4), and O(q^4) squared is O(q^8)
+        z = zero(1)
+        assert z.substitute_power(2) == zero(3)
+        assert (z * z).substitute_power(2) == \
+            z.substitute_power(2) * z.substitute_power(2)
+
     def test_substitute_fractional_power(self):
         s = make_series([(2, 1)], 6)
         t = s.substitute_power(Fraction(1, 2))
