@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional
 
-from .linalg import nullspace_rational, solve_exact
+from .linalg import nullspace_rational
 from .series import _frac
 
 
@@ -59,9 +59,6 @@ class RQSpec:
             raise SpecError(f"integer spec required, got {self}")
         return int(self.a), int(self.b), int(self.p)
 
-    def swapped(self) -> "RQSpec":
-        return RQSpec(self.b, self.a, self.p)
-
     def __str__(self):
         return f"({self.a},{self.b},{self.p})"
 
@@ -85,17 +82,6 @@ def _residues(spec: RQSpec):
     # a == p-a (or b == p-b) mod p is allowed and counts once, matching the
     # piecewise definition of the character.
     return plus, minus, p
-
-
-def chi(spec: RQSpec, n: int) -> int:
-    """Character value in {-1, 0, +1}; period p in n."""
-    plus, minus, p = _residues(spec)
-    r = n % p
-    if r in plus:
-        return 1
-    if r in minus:
-        return -1
-    return 0
 
 
 @dataclass
@@ -219,16 +205,10 @@ class DivisorCombination:
 
     spec: RQSpec
     modulus: int
-    coeffs: Dict[int, Fraction]
+    coeffs: Dict[int, int]
 
     def eta_exponents(self) -> Dict[int, int]:
-        out = {}
-        for d, c in self.coeffs.items():
-            if c:
-                if c.denominator != 1:
-                    raise SpecError("non-integer divisor combination")
-                out[d] = int(c)
-        return out
+        return {d: c for d, c in self.coeffs.items() if c}
 
 
 def _divisors(n: int) -> List[int]:
@@ -239,24 +219,20 @@ def _divisors(n: int) -> List[int]:
 def decompose_character(spec: RQSpec, G: int) -> Optional[DivisorCombination]:
     """Write X as sum over d | G of b_d * [d divides n], if possible.
 
-    Solves the linear system over one full period and checks it back on
-    the period; characters that are genuine Legendre-type twists (for
-    example (1,3,5)) admit no such combination and yield None.
+    The equations at n = d for the divisors d of G determine the b_d by
+    the recursion b_d = X(d) - sum_{e | d, e < d} b_e; the result is
+    checked back on the full period, and characters that are genuine
+    Legendre-type twists (for example (1,3,5)) admit no such combination
+    and yield None.
     """
     a, b, p = spec.as_ints()
     if p != G:
         raise SpecError(f"period mismatch: spec has p={p}, requested G={G}")
-    divs = _divisors(G)
     table = TauTable(spec)
-    matrix = []
-    rhs = []
-    for n in range(1, G + 1):
-        matrix.append([1 if n % d == 0 else 0 for d in divs])
-        rhs.append(table.chi(n))
-    sol = solve_exact(matrix, rhs)
-    if sol is None:
-        return None
-    combo = {d: c for d, c in zip(divs, sol)}
+    combo = {}
+    for d in _divisors(G):  # ascending, so every proper divisor is known
+        combo[d] = table.chi(d) - sum(c for e, c in combo.items()
+                                      if d % e == 0)
     for n in range(1, G + 1):
         if sum(c for d, c in combo.items() if n % d == 0) != table.chi(n):
             return None

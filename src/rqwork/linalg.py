@@ -101,26 +101,3 @@ def nullspace_rational(matrix) -> List[List[int]]:
         basis.append(primitive(x))
     return basis
 
-
-def solve_exact(matrix, rhs):
-    """Solve A x = b exactly; returns list of Fractions or None.
-
-    Unique solutions only: if the system is underdetermined the free
-    variables are pinned to zero; inconsistency returns None.
-    """
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    rows = [_coprime_ints(row) for row in aug]
-    ncols = len(rows[0]) - 1
-    piv_cols = row_echelon_int(rows)
-    if ncols in piv_cols:
-        return None  # pivot in the rhs column: inconsistent
-    x = [Fraction(0)] * ncols
-    for r in range(len(piv_cols) - 1, -1, -1):
-        pc = piv_cols[r]
-        row = rows[r]
-        s = Fraction(row[ncols])
-        for c in range(pc + 1, ncols):
-            if row[c] and x[c]:
-                s -= Fraction(row[c]) * x[c]
-        x[pc] = s / row[pc]
-    return x

@@ -5,18 +5,25 @@ coefficient of every lattice power of q into a row of an integer matrix,
 and reads candidate polynomials off the exact rational nullspace.  Every
 candidate is then re-verified on independently rebuilt, longer series
 before it is reported.
+
+The u^i v^j series are formed in one place, ``_monomial_series``: they are
+the columns of the mining matrix, and a re-verification residual P(u, v)
+is the integer combination of the columns of P's monomials, built once
+on the longer series for all candidates together.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import lcm
-from typing import List, Optional, Tuple
+from operator import add
+from typing import Dict, List, Optional, Tuple
 
 from . import quantities as Qm
 from . import series as S
-from .characters import RQSpec, SpecError
+from .characters import RQSpec
 from .linalg import nullspace_rational
 from .series import FormalSeries, _frac
 
@@ -80,42 +87,6 @@ class BivariatePolynomial:
                 "degree": self.total_degree,
                 "text": str(self)}
 
-    def evaluate(self, u: FormalSeries, v: FormalSeries) -> FormalSeries:
-        """P(u, v) as a truncated series, by Horner in v."""
-        max_j = max(j for (_, j), _ in self.terms)
-        rows = {}
-        for (i, j), c in self.terms:
-            rows.setdefault(j, {})[i] = c
-        order = min(u.trunc, v.trunc)
-        result = None
-        for j in range(max_j, -1, -1):
-            if result is not None:
-                result = result * v
-            part = rows.get(j)
-            if part:
-                chunk = _poly_in(u, part, order)
-                result = chunk if result is None else result + chunk
-        return result
-
-    def __eq__(self, other):
-        return isinstance(other, BivariatePolynomial) \
-            and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.terms)
-
-
-def _poly_in(u: FormalSeries, coeffs: dict, order) -> FormalSeries:
-    """sum coeffs[i] * u^i by Horner."""
-    top = max(coeffs)
-    result = S.constant(coeffs.get(top, 0), order)
-    for i in range(top - 1, -1, -1):
-        result = result * u
-        c = coeffs.get(i)
-        if c:
-            result = result + S.constant(c, order)
-    return result
-
 
 @dataclass(frozen=True)
 class SeriesRecipe:
@@ -175,10 +146,10 @@ class MiningJob:
 
 
 def _monomial_series(u: FormalSeries, v: FormalSeries,
-                     monomials) -> List[FormalSeries]:
-    """All u^i v^j columns, built incrementally."""
-    max_i = max(i for i, _ in monomials)
-    max_j = max(j for _, j in monomials)
+                     monomials) -> Dict[Tuple[int, int], FormalSeries]:
+    """The u^i v^j column of every monomial, from shared powers of u and v."""
+    max_i = max((i for i, _ in monomials), default=0)
+    max_j = max((j for _, j in monomials), default=0)
     order = min(u.trunc, v.trunc)
     one = S.constant(1, order)
     u_pows = [one]
@@ -187,7 +158,21 @@ def _monomial_series(u: FormalSeries, v: FormalSeries,
     v_pows = [one]
     for _ in range(max_j):
         v_pows.append(v_pows[-1] * v)
-    return [u_pows[i] * v_pows[j] for i, j in monomials]
+    return {(i, j): u_pows[i] * v_pows[j] for i, j in monomials}
+
+
+def _verdict(poly: BivariatePolynomial, columns: dict, order) -> dict:
+    """Judge P(u, v) = sum c_ij u^i v^j from its prebuilt columns.
+
+    ``columns`` maps (i, j) to the u^i v^j series; the residual is the
+    integer combination of the polynomial's columns.
+    """
+    residual = reduce(add, (columns[ij] * c for ij, c in poly.terms))
+    for e, c in residual.terms():
+        if c and e <= order:
+            return {"verdict": "fails_at", "fails_at": str(e)}
+    return {"verdict": "holds_to_order",
+            "order": str(min(residual.trunc, order))}
 
 
 def _coefficient_matrix(columns: List[FormalSeries]):
@@ -235,26 +220,31 @@ def mine(job: MiningJob, report: Optional[dict] = None
     u = job.u.build(order)
     v = job.v.build(order)
     columns = _monomial_series(u, v, monomials)
-    matrix, _ = _coefficient_matrix(columns)
-    if len(matrix) < len(monomials) + GUARD_ROWS:
+    matrix, _ = _coefficient_matrix(list(columns.values()))
+    n_rows = len(matrix)
+    if n_rows < len(monomials) + GUARD_ROWS:
         raise MiningError(
-            f"only {len(matrix)} usable coefficient rows for "
+            f"only {n_rows} usable coefficient rows for "
             f"{len(monomials)} monomials; raise order_steps")
     basis = nullspace_rational(matrix)
+    del u, v, columns, matrix  # free the mining phase before re-verifying
     candidates = []
     for vec in basis:
         coeffs = {ij: c for ij, c in zip(monomials, vec) if c}
         if coeffs:
             candidates.append(BivariatePolynomial.build(coeffs))
 
-    # soundness gate: rebuild longer series and substitute
+    # soundness gate: rebuild longer series and judge every candidate on
+    # one set of columns covering all their monomials
     re_order = order * job.reverify_factor
     u2 = job.u.build(re_order)
     v2 = job.v.build(re_order)
     re_order = min(re_order, u2.trunc, v2.trunc)
+    columns = _monomial_series(
+        u2, v2, {ij for poly in candidates for ij, _ in poly.terms})
     kept, dropped = [], []
     for poly in candidates:
-        verdict = verify_relation(poly, u2, v2, re_order)
+        verdict = _verdict(poly, columns, re_order)
         if verdict["verdict"] == "holds_to_order":
             kept.append(poly)
         else:
@@ -265,21 +255,11 @@ def mine(job: MiningJob, report: Optional[dict] = None
         report.update({
             "job": job.to_json(),
             "lattice_denom": denom,
-            "matrix_rows": len(matrix),
+            "matrix_rows": n_rows,
             "polynomials": [p.to_json() for p in kept],
             "dropped_candidates": dropped,
         })
     return kept
-
-
-def mine_cross(u_recipe: SeriesRecipe, v_recipe: SeriesRecipe,
-               shape: str = "box", size: int = 4,
-               order_steps: Optional[int] = None,
-               report: Optional[dict] = None) -> List[BivariatePolynomial]:
-    """Mining between two different quantities (or powers thereof)."""
-    job = MiningJob(u_recipe, v_recipe, shape=shape, size=size,
-                    order_steps=order_steps)
-    return mine(job, report=report)
 
 
 def verify_relation(poly: BivariatePolynomial, u: FormalSeries,
@@ -291,12 +271,8 @@ def verify_relation(poly: BivariatePolynomial, u: FormalSeries,
         raise MiningError(
             f"verification to order {order} requested but series known "
             f"only to {avail}")
-    residual = poly.evaluate(u, v)
-    for e, c in residual.terms():
-        if c and e <= order:
-            return {"verdict": "fails_at", "fails_at": str(e)}
-    checked = min(residual.trunc, order)
-    return {"verdict": "holds_to_order", "order": str(checked)}
+    return _verdict(poly, _monomial_series(u, v, [ij for ij, _ in poly.terms]),
+                    order)
 
 
 def n_series(spec: RQSpec, order) -> FormalSeries:

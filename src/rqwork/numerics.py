@@ -585,8 +585,9 @@ def recognize_algebraic(x, max_degree: int, ctx: PrecisionContext
     Tries degrees 1..max_degree on the power basis (1, x, ..., x^d);
     accepts the first primitive polynomial with residual below
     10^(-digits/2) whose coefficient height stays under 10^(digits/4)
-    (taller vectors are lattice artifacts, not recognitions).  Returns
-    None when nothing passes.
+    (taller vectors are lattice artifacts, not recognitions).  An x
+    already below that residual bound is reported as the root of x.
+    Returns None when nothing passes.
     """
     mp = ctx.mp
     x = mp.mpf(x)
@@ -595,6 +596,11 @@ def recognize_algebraic(x, max_degree: int, ctx: PrecisionContext
             f"{ctx.digits} digits is too little for degree {max_degree}")
     height_bound = mp.mpf(10) ** (ctx.digits / 4)
     residual_bound = mp.mpf(10) ** (-(ctx.digits / 2))
+    if abs(x) < residual_bound:
+        # PSLQ rejects a zero entry, and the powers of so small an x are
+        # zero at this precision; x itself already passes as its root
+        return {"degree": 1, "coeffs": [0, 1], "polynomial": "x",
+                "residual": ctx.str_of(abs(x))}
     for degree in range(1, max_degree + 1):
         powers = [x ** i for i in range(degree + 1)]
         rel = mp.pslq(powers, maxcoeff=int(height_bound), maxsteps=20000)

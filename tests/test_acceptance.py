@@ -83,8 +83,8 @@ def test_criterion_1_mining_reproduction():
             assert time.perf_counter() - t0 < 120, label
         # cross-quantity relation between the (1,3,10) and (1,2,5) series
         t0 = time.perf_counter()
-        found = modeq.mine_cross(SeriesRecipe(RQSpec(1, 3, 10)),
-                                 SeriesRecipe(RQSpec(1, 2, 5)), size=4)
+        found = modeq.mine(MiningJob(SeriesRecipe(RQSpec(1, 3, 10)),
+                                     SeriesRecipe(RQSpec(1, 2, 5)), size=4))
         assert CROSS_TARGET in found
         assert time.perf_counter() - t0 < 120
 

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from rqwork.characters import (DivisorCombination, RQSpec, SpecError,
-                               TauRelation, TauTable, chi,
-                               decompose_character, tau_relation_scan)
+                               TauRelation, TauTable, decompose_character,
+                               tau_relation_scan)
 
 
 class TestSpec:
@@ -26,9 +26,6 @@ class TestSpec:
         assert spec.Q == Fraction(1, 2) + Fraction(-3, 10)
         assert RQSpec(1, 4, 17).Q == Fraction(3, 2) - Fraction(15, 34)
 
-    def test_swapped(self):
-        assert RQSpec(1, 2, 5).swapped() == RQSpec(2, 1, 5)
-
     def test_rejects_bad_entries(self):
         with pytest.raises(SpecError):
             RQSpec(0, 2, 5)
@@ -40,22 +37,20 @@ class TestSpec:
 
 class TestChi:
     def test_values_mod_5(self):
-        spec = RQSpec(1, 2, 5)
+        table = TauTable(RQSpec(1, 2, 5))
         # +1 on residues {1,4}, -1 on {2,3}, 0 on multiples of 5
         expect = {0: 0, 1: 1, 2: -1, 3: -1, 4: 1}
         for n in range(25):
-            assert chi(spec, n) == expect[n % 5], n
+            assert table.chi(n) == expect[n % 5], n
 
     def test_symmetric_residue_counted_once(self):
         # a = p - a: the residue class is its own mirror
-        spec = RQSpec(2, 3, 4)
-        assert chi(spec, 2) == 1
-        assert chi(spec, 1) == -1
-        assert chi(spec, 3) == -1
+        table = TauTable(RQSpec(2, 3, 4))
+        assert table.chi(2) == 1
+        assert table.chi(1) == -1
+        assert table.chi(3) == -1
 
     def test_clash_rejected(self):
-        with pytest.raises(SpecError):
-            chi(RQSpec(1, 4, 5), 1)
         with pytest.raises(SpecError):
             TauTable(RQSpec(1, 4, 5))
 

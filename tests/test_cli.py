@@ -104,6 +104,13 @@ class TestReports:
 
 
 class TestJobs:
+    @pytest.mark.parametrize("argv", [
+        ["--value", "0"], ["--value", "1e-20", "--digits", "30"]])
+    def test_recognize_tiny_value(self, capsys, argv):
+        code, reports, _ = run(capsys, "recognize", *argv)
+        assert code == 0
+        assert reports[0]["recognized"]["polynomial"] == "x"
+
     def test_mine_finds_known_equation(self, capsys):
         code, reports, _ = run(capsys, "mine", "--spec", "1,2,4",
                                "--alpha", "1", "--beta", "2", "--box", "4")

@@ -3,12 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rqwork import quantities as Q
+from rqwork import series as S
 from rqwork.characters import RQSpec
 from rqwork.modeq import (BivariatePolynomial, MiningError, MiningJob,
-                          SeriesRecipe, mine, mine_cross, n_series,
-                          verify_relation)
+                          SeriesRecipe, mine, n_series, verify_relation)
 
 
 class TestPolynomial:
@@ -32,12 +34,12 @@ class TestPolynomial:
         assert p.total_degree == 8
         assert p.term_count == 3
 
-    def test_evaluate_on_series(self):
-        import rqwork.series as S
+    def test_verify_relation_on_series(self):
         u = S.make_series([(1, 1)], 10)
         v = S.make_series([(2, 1)], 20)
         p = BivariatePolynomial.build({(2, 0): 1, (0, 1): -1})
-        assert p.evaluate(u, v).is_zero
+        assert verify_relation(p, u, v, 10) == {"verdict": "holds_to_order",
+                                                "order": "10"}
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -58,8 +60,8 @@ class TestMining:
         assert report["polynomials"][0]["terms"]
 
     def test_cross_mining(self):
-        found = mine_cross(SeriesRecipe(RQSpec(1, 3, 10), 1),
-                           SeriesRecipe(RQSpec(1, 2, 5), 1), size=4)
+        found = mine(MiningJob(SeriesRecipe(RQSpec(1, 3, 10), 1),
+                               SeriesRecipe(RQSpec(1, 2, 5), 1), size=4))
         target = BivariatePolynomial.build(
             {(3, 0): 1, (1, 1): -1, (2, 3): 1, (0, 4): 1})
         assert target in found
@@ -104,3 +106,47 @@ class TestNormalizedSeries:
         s = recipe.build(Fraction(5))
         assert s.coeff(Fraction(1, 10)) == 1
         assert recipe.to_json()["power"] == "1/2"
+
+
+# verify_relation against plain ring arithmetic on small random series
+
+series_st = st.lists(st.integers(min_value=-5, max_value=5),
+                     min_size=1, max_size=6).map(
+    lambda cs: S.make_series(list(enumerate(cs)), len(cs)))
+poly_st = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.integers(min_value=-5, max_value=5).filter(bool),
+    min_size=1, max_size=5)
+
+
+def _times_u2_minus_v(coeffs):
+    """coeffs * (u^2 - v): a relation that holds whenever v = u^2."""
+    out = {}
+    for (i, j), c in coeffs.items():
+        out[(i + 2, j)] = out.get((i + 2, j), 0) + c
+        out[(i, j + 1)] = out.get((i, j + 1), 0) - c
+    return out
+
+
+def _plain_verdict(poly, u, v, order):
+    residual = sum(c * u ** i * v ** j for (i, j), c in poly.terms)
+    for e, _ in residual.terms():
+        if e <= order:
+            return {"verdict": "fails_at", "fails_at": str(e)}
+    return {"verdict": "holds_to_order",
+            "order": str(min(residual.trunc, order))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_st, series_st, poly_st, st.booleans(),
+       st.integers(min_value=0, max_value=6))
+def test_verify_relation_matches_plain_arithmetic(u, v, coeffs, related, k):
+    if related:
+        v = u * u
+        coeffs = _times_u2_minus_v(coeffs)
+    poly = BivariatePolynomial.build(coeffs)
+    order = min(Fraction(k), u.trunc, v.trunc)
+    verdict = verify_relation(poly, u, v, order)
+    assert verdict == _plain_verdict(poly, u, v, order)
+    if related:
+        assert verdict["verdict"] == "holds_to_order"

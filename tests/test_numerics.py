@@ -209,6 +209,14 @@ class TestRecognition:
     def test_non_algebraic_rejected(self, ctx):
         assert numerics.recognize_algebraic(ctx.mp.pi, 3, ctx) is None
 
+    def test_below_residual_bound_is_root_of_x(self, ctx):
+        # PSLQ rejects a zero entry; such an x is the root of x itself
+        for text in ("0", "-1e-30"):
+            found = numerics.recognize_algebraic(ctx.mp.mpf(text), 4, ctx)
+            assert found["coeffs"] == [0, 1]
+            assert found["polynomial"] == "x"
+            assert ctx.mp.mpf(found["residual"]) == abs(ctx.mp.mpf(text))
+
     def test_precision_guard(self):
         with pytest.raises(NumericsError):
             numerics.recognize_algebraic(0.5, 12, context(15))
