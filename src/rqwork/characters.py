@@ -16,6 +16,8 @@ from typing import Dict, List, Optional
 from .linalg import nullspace_rational
 from .series import _frac
 
+TAU_REVERIFY_FACTOR = 4
+
 
 class SpecError(ValueError):
     pass
@@ -169,12 +171,11 @@ class TauRelation:
         }
 
 
-def tau_relation_scan(spec: RQSpec, J: int, n_max: int,
-                      reverify_factor: int = 4) -> List[TauRelation]:
+def tau_relation_scan(spec: RQSpec, J: int, n_max: int) -> List[TauRelation]:
     """Mine a basis of empirically valid tau relations up to multiplier J.
 
     Solves sum_{j<=J} c[j] tau(j n) = 0 over n <= n_max exactly, then
-    re-checks every basis vector on n_max < n <= reverify_factor*n_max.
+    re-checks every basis vector on n_max < n <= TAU_REVERIFY_FACTOR*n_max.
     Returned vectors are primitive integers with positive leading entry.
     """
     table = TauTable(spec).fill(J * n_max)
@@ -182,9 +183,8 @@ def tau_relation_scan(spec: RQSpec, J: int, n_max: int,
               for n in range(1, n_max + 1)]
     basis = nullspace_rational(matrix)
     relations = []
-    hi = reverify_factor * n_max
-    if hi > n_max:
-        table.fill(J * hi)
+    hi = TAU_REVERIFY_FACTOR * n_max
+    table.fill(J * hi)
     for vec in basis:
         ok = all(
             sum(c * table.tau(j * n) for j, c in enumerate(vec, start=1)) == 0

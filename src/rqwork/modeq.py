@@ -28,6 +28,8 @@ from .linalg import nullspace_rational
 from .series import FormalSeries, _frac
 
 GUARD_ROWS = 30
+# candidates are re-verified on series this many times longer
+REVERIFY_FACTOR = Fraction(3, 2)
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,6 @@ class MiningJob:
     shape: str = "box"
     size: int = 4
     order_steps: Optional[int] = None  # lattice steps; defaulted from size
-    reverify_factor: Fraction = Fraction(3, 2)
 
     def monomials(self) -> List[Tuple[int, int]]:
         return _shape_monomials(self.shape, self.size)
@@ -142,7 +143,7 @@ class MiningJob:
         return {"u": self.u.to_json(), "v": self.v.to_json(),
                 "shape": self.shape, "size": self.size,
                 "order_steps": self.steps(),
-                "reverify_factor": str(self.reverify_factor)}
+                "reverify_factor": str(REVERIFY_FACTOR)}
 
 
 def _monomial_series(u: FormalSeries, v: FormalSeries,
@@ -152,13 +153,20 @@ def _monomial_series(u: FormalSeries, v: FormalSeries,
     max_j = max((j for _, j in monomials), default=0)
     order = min(u.trunc, v.trunc)
     one = S.constant(1, order)
-    u_pows = [one]
-    for _ in range(max_i):
+
+    def times_one(p):  # p * one, without the convolution
+        return p if p.is_zero else p.truncated(p.lead_exponent + one.trunc)
+
+    u_pows = [one, times_one(u)]
+    for _ in range(max_i - 1):
         u_pows.append(u_pows[-1] * u)
-    v_pows = [one]
-    for _ in range(max_j):
+    v_pows = [one, times_one(v)]
+    for _ in range(max_j - 1):
         v_pows.append(v_pows[-1] * v)
-    return {(i, j): u_pows[i] * v_pows[j] for i, j in monomials}
+    # each power is already cut like a product with ``one``, so a column
+    # with i = 0 or j = 0 is the power itself
+    return {(i, j): u_pows[i] * v_pows[j] if i and j
+            else u_pows[i] if i else v_pows[j] for i, j in monomials}
 
 
 def _verdict(poly: BivariatePolynomial, columns: dict, order) -> dict:
@@ -236,7 +244,7 @@ def mine(job: MiningJob, report: Optional[dict] = None
 
     # soundness gate: rebuild longer series and judge every candidate on
     # one set of columns covering all their monomials
-    re_order = order * job.reverify_factor
+    re_order = order * REVERIFY_FACTOR
     u2 = job.u.build(re_order)
     v2 = job.v.build(re_order)
     re_order = min(re_order, u2.trunc, v2.trunc)

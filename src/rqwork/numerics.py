@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, log
 from typing import List, Optional
 
@@ -30,7 +31,7 @@ class NumericsError(ValueError):
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working precision plus guard digits; carries its own mpmath clone.
+    """Working precision plus guard digits and the mpmath context for them.
 
     Values are computed at digits + guard decimal places and reported at
     ``digits``; the guard absorbs cancellation so that reported values
@@ -42,9 +43,7 @@ class PrecisionContext:
 
     @property
     def mp(self):
-        ctx = mpmath.mp.clone()
-        ctx.dps = self.digits + self.guard
-        return ctx
+        return _mp_context(self.digits + self.guard)
 
     @property
     def tail_tolerance(self):
@@ -52,6 +51,14 @@ class PrecisionContext:
 
     def str_of(self, x) -> str:
         return mpmath.nstr(x, self.digits)
+
+
+@lru_cache(maxsize=None)
+def _mp_context(dps: int):
+    """The one mpmath context at ``dps`` digits; never set its precision."""
+    ctx = mpmath.mp.clone()
+    ctx.dps = dps
+    return ctx
 
 
 def context(digits: int = 50) -> PrecisionContext:
@@ -206,8 +213,7 @@ def eval_series(series: FormalSeries, q, ctx: PrecisionContext):
     mp = ctx.mp
     total = mp.mpf(0) * (1 + 0 * q)
     for e, c in series.terms():
-        num = mp.mpf(c.numerator) / mp.mpf(c.denominator)
-        total += num * q ** (mp.mpf(e.numerator) / e.denominator)
+        total += _to_mpf(mp, c) * q ** _to_mpf(mp, e)
     return total
 
 
@@ -603,6 +609,8 @@ def recognize_algebraic(x, max_degree: int, ctx: PrecisionContext
                 "residual": ctx.str_of(abs(x))}
     for degree in range(1, max_degree + 1):
         powers = [x ** i for i in range(degree + 1)]
+        if abs(powers[-1]) < mp.mpf(2) ** -mp.prec:
+            break  # zero at this precision, so PSLQ cannot use it
         rel = mp.pslq(powers, maxcoeff=int(height_bound), maxsteps=20000)
         if rel is None:
             continue

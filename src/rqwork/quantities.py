@@ -35,11 +35,8 @@ def rq_series(spec: RQSpec, order) -> FormalSeries:
     order = _frac(order)
     if order <= spec.Q:
         raise SpecError(f"order {order} must exceed the prefactor {spec.Q}")
-    # build the quotient with margin for the shift, then truncate back
-    num = agile_series(spec.a, spec.p, order)
-    den = agile_series(spec.b, spec.p, order)
     shift = S.make_series([(spec.Q, 1)], order)
-    return (shift * (num / den)).truncated(order)
+    return (shift * rq_star_series(spec, order)).truncated(order)
 
 
 def rq_star_series(spec: RQSpec, order) -> FormalSeries:
@@ -72,43 +69,25 @@ def m_series(spec: RQSpec, order: int) -> FormalSeries:
     return S.make_series(terms, order)
 
 
-def eta_series(kind: str, order: int) -> FormalSeries:
-    """f(-q) by the pentagonal expansion, or the divisor sum L1(q).
-
-    ``L`` returns 1 - 24*L1(q).
-    """
+def eta_series(order: int) -> FormalSeries:
+    """f(-q) by the pentagonal expansion."""
     order = int(order)
-    if kind == "f_minus_q":
-        terms = []
-        k = 0
-        while True:
-            for kk in ((k, -k) if k else (0,)):
-                e = kk * (3 * kk - 1) // 2
-                if e <= order:
-                    terms.append((e, (-1) ** (kk % 2)))
-            if k * (3 * k - 1) // 2 > order and k * (3 * k + 1) // 2 > order:
-                break
-            k += 1
-        return S.make_series(terms, order)
-    if kind in ("L1", "L"):
-        sigma = [0] * (order + 1)
-        for d in range(1, order + 1):
-            for m in range(d, order + 1, d):
-                sigma[m] += d
-        if kind == "L1":
-            terms = [(n, sigma[n]) for n in range(1, order + 1)]
-        else:
-            terms = [(Fraction(0), 1)]
-            terms += [(n, -24 * sigma[n]) for n in range(1, order + 1)]
-        return S.make_series(terms, order)
-    raise SpecError(f"unknown eta series kind {kind!r}")
+    terms = []
+    k = 0
+    while k * (3 * k - 1) // 2 <= order:  # the smaller pentagonal number
+        for kk in ((k, -k) if k else (0,)):
+            e = kk * (3 * kk - 1) // 2
+            if e <= order:
+                terms.append((e, (-1) ** (kk % 2)))
+        k += 1
+    return S.make_series(terms, order)
 
 
 def f_minus_q_power(m, order) -> FormalSeries:
     """f(-q^m) truncated at ``order`` (rational m > 0 allowed)."""
     m = _frac(m)
     order = _frac(order)
-    base = eta_series("f_minus_q", max(0, ceil(order / m)))
+    base = eta_series(max(0, ceil(order / m)))
     # trunc is m*ceil(order/m) >= order; keep the margin, callers truncate
     return base.substitute_power(m)
 

@@ -2,7 +2,9 @@
 
 A :class:`FormalSeries` carries coefficients on the lattice of exponents
 ``k / denom`` together with an explicit truncation bound.  Coefficients
-are exact rationals throughout; a request for a coefficient beyond the
+are exact rationals with one representation, decided here: a Python
+``int`` when the value is an integer and a ``Fraction`` only when it is
+not; a ``float`` is refused.  A request for a coefficient beyond the
 provable truncation raises :class:`TruncationError` instead of silently
 returning zero.  The truncation bound shrinks conservatively under
 arithmetic (min rule for addition, product rule for multiplication).
@@ -33,7 +35,19 @@ class TruncationError(SeriesError):
 
 def _frac(x) -> Fraction:
     """Exact rational from an int, Fraction or decimal/ratio string."""
-    return x if isinstance(x, Fraction) else Fraction(x)
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"float {x!r} is not an exact rational")
+    return Fraction(x)
+
+
+def _coeff(x):
+    """The coefficient representation: int if integral, else Fraction."""
+    if type(x) is int:
+        return x
+    x = _frac(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class FormalSeries:
@@ -50,7 +64,7 @@ class FormalSeries:
     def __init__(self, denom: int, lead: int, coeffs: Sequence):
         if denom <= 0:
             raise SeriesError("denom must be positive")
-        coeffs = [_frac(c) for c in coeffs]
+        coeffs = [_coeff(c) for c in coeffs]
         # strip leading zeros so that coeffs[0] != 0 for nonzero series
         k = 0
         while k < len(coeffs) and not coeffs[k]:
@@ -84,7 +98,7 @@ class FormalSeries:
         trunc = self.lead + len(self.coeffs) - 1
         new_lead = self.lead // g
         new_trunc = trunc // g  # conservative floor onto the coarse lattice
-        new = [Fraction(0)] * (new_trunc - new_lead + 1)
+        new = [0] * (new_trunc - new_lead + 1)
         for i, c in enumerate(self.coeffs):
             if c:
                 new[(self.lead + i) // g - new_lead] = c
@@ -128,10 +142,10 @@ class FormalSeries:
                 f"coefficient at {e} beyond truncation {self.trunc}")
         num = e * self.denom
         if num.denominator != 1:
-            return Fraction(0)
+            return 0
         i = int(num) - self.lead
         if i < 0 or i >= len(self.coeffs):
-            return Fraction(0)
+            return 0
         return self.coeffs[i]
 
     def terms(self) -> Iterable[Tuple[Fraction, object]]:
@@ -157,12 +171,6 @@ class FormalSeries:
             raise TruncationError(
                 f"cannot compare to order {bound}: known only to {diff.trunc}")
         return all(e > bound for e, _ in diff.terms())
-
-    def first_nonzero(self):
-        """Leading exponent, or None for the zero series."""
-        for e, _ in self.terms():
-            return e
-        return None
 
     # -- rendering ------------------------------------------------------
 
@@ -212,7 +220,7 @@ class FormalSeries:
             out.coeffs = ()
             return out
         n = (len(self.coeffs) - 1) * m + 1
-        new = [Fraction(0)] * n
+        new = [0] * n
         for i, c in enumerate(self.coeffs):
             new[i * m] = c
         out = FormalSeries.__new__(FormalSeries)
@@ -238,7 +246,7 @@ class FormalSeries:
         n = trunc - lead + 1
         if n <= 0:
             return FormalSeries(d, trunc + 1, ())
-        out = [Fraction(0)] * n
+        out = [0] * n
         for i, c in enumerate(a.coeffs):
             j = a.lead + i - lead
             if 0 <= j < n:
@@ -267,15 +275,8 @@ class FormalSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _frac(other)
-            if not c:
-                return FormalSeries(self.denom,
-                                    self.lead + len(self.coeffs), ())
-            out = FormalSeries.__new__(FormalSeries)
-            out.denom = self.denom
-            out.lead = self.lead
-            out.coeffs = tuple(c * x for x in self.coeffs)
-            return out
+            return FormalSeries(self.denom, self.lead,
+                                [other * x for x in self.coeffs])
         other = _as_series(other, like=self)
         a, b, d = self._aligned(other)
         if a.is_zero or b.is_zero:
@@ -334,7 +335,7 @@ class FormalSeries:
             # commutes with multiplication of zero series
             return FormalSeries(d, self.lead * step, ())
         n = (len(self.coeffs) - 1) * step + 1
-        new = [Fraction(0)] * n
+        new = [0] * n
         for i, c in enumerate(self.coeffs):
             new[i * step] = c
         return FormalSeries(d, self.lead * step, new)
@@ -360,13 +361,10 @@ class FormalSeries:
 def _as_series(x, like: FormalSeries) -> FormalSeries:
     if isinstance(x, FormalSeries):
         return x
-    c = _frac(x)
     # constant known to the same absolute truncation as ``like``
-    trunc = like.lead + len(like.coeffs) - 1
-    if trunc < 0:
-        trunc = 0
-    out = [Fraction(0)] * (trunc + 1)
-    out[0] = c
+    trunc = max(like.lead + len(like.coeffs) - 1, 0)
+    out = [0] * (trunc + 1)
+    out[0] = x
     return FormalSeries(like.denom, 0, out)
 
 
@@ -378,29 +376,27 @@ def make_series(terms, order: RationalLike) -> FormalSeries:
     Exponents must be distinct and not exceed ``order``.
     """
     order = _frac(order)
-    pairs = [(_frac(e), _frac(c)) for e, c in terms]
+    pairs = [(_frac(e), _coeff(c)) for e, c in terms]
     exps = [e for e, _ in pairs]
     if len(set(exps)) != len(exps):
         raise SeriesError("duplicate exponents")
     if any(e > order for e in exps):
         raise SeriesError("exponent beyond requested order")
     if not pairs:
-        d = order.denominator
-        t = order.numerator * 1
-        return FormalSeries(d, t + 1, ())
+        return zero(order)
     d = 1
     for e in exps + [order]:
         d = d * e.denominator // gcd(d, e.denominator)
     trunc = (order.numerator * d) // order.denominator
     lead = min(int(e * d) for e in exps)
-    out = [Fraction(0)] * (trunc - lead + 1)
+    out = [0] * (trunc - lead + 1)
     for e, c in pairs:
         out[int(e * d) - lead] += c
     return FormalSeries(d, lead, out)
 
 
 def constant(value, order: RationalLike) -> FormalSeries:
-    return make_series([(0, value)], order) if value else zero(order)
+    return make_series([(0, value)], order) if _coeff(value) else zero(order)
 
 
 def zero(order: RationalLike) -> FormalSeries:

@@ -32,6 +32,11 @@ class TestExitCodes:
     def test_usage_error_bad_q(self, capsys):
         assert dispatch(["eval", "--spec", "1,2,5", "--q", "1.5"]) == 1
 
+    def test_negative_exponent_is_a_value(self, capsys):
+        # argparse must not take -1e-1 for an option
+        assert dispatch(["eval", "--spec", "1,2,5", "--q", "-1e-1"]) == 1
+        assert "--q must lie in (0,1)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["eval", "--spec", "1,2,5", "--q", "abc"],
         ["recognize", "--value", "abc"],
@@ -110,6 +115,14 @@ class TestJobs:
         code, reports, _ = run(capsys, "recognize", *argv)
         assert code == 0
         assert reports[0]["recognized"]["polynomial"] == "x"
+
+    @pytest.mark.parametrize("value", ["1e-20", "-1e-20"])
+    def test_recognize_powers_below_precision(self, capsys, value):
+        # x^4 is zero at the 60 working digits, so PSLQ cannot take it
+        code, reports, _ = run(capsys, "recognize", "--value", value)
+        assert code == 0
+        assert reports[0]["target"] == value
+        assert reports[0]["recognized"] is None
 
     def test_mine_finds_known_equation(self, capsys):
         code, reports, _ = run(capsys, "mine", "--spec", "1,2,4",

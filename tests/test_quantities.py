@@ -78,17 +78,7 @@ class TestLogDerivative:
 
 class TestEtaBuilders:
     def test_f_minus_q_is_pochhammer(self):
-        assert Q.eta_series("f_minus_q", 80) == S.pochhammer_inf(1, 1, 80)
-
-    def test_L_normalization(self):
-        L = Q.eta_series("L", 10)
-        assert L.coeff(0) == 1
-        assert L.coeff(1) == -24
-        assert L.coeff(6) == -24 * 12  # sigma(6) = 12
-
-    def test_unknown_kind(self):
-        with pytest.raises(SpecError):
-            Q.eta_series("g_plus_q", 10)
+        assert Q.f_minus_q_power(1, 80) == S.pochhammer_inf(1, 1, 80)
 
     def test_quotient_builder(self):
         eq = Q.EtaQuotient.build(Fraction(1, 5), {1: 1, 5: -1})

@@ -1,6 +1,7 @@
 """Unit tests for the exact truncated series core."""
 
 from fractions import Fraction
+from math import floor
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,15 @@ class TestConstruction:
         assert s.coeff(1) == 0
         assert s.trunc == 5
         assert s.lead_exponent == 0
+
+    def test_float_rejected(self):
+        # floats are not exact, as coefficient, exponent or scalar
+        with pytest.raises(TypeError):
+            make_series([(0, 0.5)], 1)
+        with pytest.raises(TypeError):
+            make_series([(0.5, 1)], 1)
+        with pytest.raises(TypeError):
+            geometric(3) * 0.5
 
     def test_duplicate_exponents_rejected(self):
         with pytest.raises(SeriesError):
@@ -66,11 +76,6 @@ class TestCoeffSemantics:
     def test_terms_generator_skips_zeros(self):
         s = make_series([(0, 1), (1, 0), (3, 2)], 5)
         assert list(s.terms()) == [(0, 1), (3, 2)]
-
-    def test_first_nonzero(self):
-        s = make_series([(2, 0), (3, 5)], 6)
-        assert s.first_nonzero() == 3
-        assert zero(6).first_nonzero() is None
 
 
 class TestArithmetic:
@@ -251,6 +256,99 @@ def test_derivative_leibniz(a, b):
     lhs = (a * b).q_derivative()
     rhs = a.q_derivative() * b + a * b.q_derivative()
     assert lhs.agrees_with(rhs, min(lhs.trunc, rhs.trunc))
+
+
+# a plain Fraction schoolbook oracle: ({exponent: coefficient}, trunc) on
+# the integer lattice, a zero series having valuation trunc + 1
+
+def plain(cs, lead):
+    return ({Fraction(lead + i): Fraction(c) for i, c in enumerate(cs) if c},
+            Fraction(lead + len(cs) - 1))
+
+
+def plain_valuation(x):
+    terms, trunc = x
+    return min(terms) if terms else trunc + 1
+
+
+def plain_add(x, y):
+    trunc = min(x[1], y[1])
+    out = {}
+    for terms in (x[0], y[0]):
+        for e, c in terms.items():
+            if e <= trunc:
+                out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}, trunc
+
+
+def plain_mul(x, y):
+    trunc = min(x[1] + plain_valuation(y), y[1] + plain_valuation(x))
+    out = {}
+    for e, c in x[0].items():
+        for f, d in y[0].items():
+            if e + f <= trunc:
+                out[e + f] = out.get(e + f, 0) + c * d
+    return {e: c for e, c in out.items() if c}, trunc
+
+
+def plain_scale(x, k):
+    return {e: c * k for e, c in x[0].items() if c * k}, x[1]
+
+
+def plain_inverse(x):
+    terms, trunc = x
+    v = min(terms)
+    n = int(trunc - v) + 1
+    b = [terms.get(v + i, Fraction(0)) for i in range(n)]
+    out = []
+    for k in range(n):
+        s = Fraction(k == 0) - sum(b[i] * out[k - i] for i in range(1, k + 1))
+        out.append(s / b[0])
+    return {k - v: c for k, c in enumerate(out) if c}, n - 1 - v
+
+
+def assert_plain(got, want):
+    terms, trunc = want
+    # the best truncation on the result's own lattice
+    assert got.trunc == Fraction(floor(trunc * got.denom), got.denom)
+    assert dict(got.terms()) == {e: c for e, c in terms.items()
+                                 if e <= got.trunc}
+    for c in got.coeffs:
+        assert type(c) is (int if c.denominator == 1 else Fraction)
+
+
+plain_st = st.tuples(st.lists(coeff_st, min_size=1, max_size=8),
+                     st.integers(min_value=0, max_value=2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(plain_st, plain_st,
+       st.fractions(min_value=-3, max_value=3, max_denominator=4),
+       st.integers(min_value=-2, max_value=4).filter(bool),
+       st.sampled_from([Fraction(1, 2), 2, 3, Fraction(2, 3)]))
+def test_matches_plain_fraction_arithmetic(a, b, c, k, m):
+    s, t = (make_series([(lead + i, x) for i, x in enumerate(cs)],
+                        lead + len(cs) - 1) for cs, lead in (a, b))
+    x, y = plain(*a), plain(*b)
+    assert_plain(s, x)
+    assert_plain(s + t, plain_add(x, y))
+    assert_plain(s - t, plain_add(x, plain_scale(y, -1)))
+    assert_plain(s * t, plain_mul(x, y))
+    assert_plain(s * c, plain_scale(x, c))
+    assert_plain(c * s, plain_scale(x, c))
+    if c:
+        assert_plain(s / c, plain_scale(x, 1 / c))
+    if x[0]:
+        assert_plain(s.rebased(6), x)
+        assert_plain(s.substitute_power(m),
+                     ({e * m: v for e, v in x[0].items()}, x[1] * m))
+        assert_plain(s.inverse(), plain_inverse(x))
+    if k > 0 or x[0]:
+        base = x if k > 0 else plain_inverse(x)
+        want = base
+        for _ in range(abs(k) - 1):
+            want = plain_mul(want, base)
+        assert_plain(s ** k, want)
 
 
 @settings(max_examples=60, deadline=None)
