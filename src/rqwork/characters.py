@@ -88,11 +88,15 @@ def _residues(spec: RQSpec):
 
 @dataclass
 class TauTable:
-    """Memoized character and divisor-sum values for an integer spec."""
+    """Character values and divisor sums tau(n) for an integer spec.
+
+    ``fill(n_max)`` sieves tau into the list ``values`` (``values[n]`` is
+    tau(n)); above the filled range ``tau`` enumerates divisors.
+    """
 
     spec: RQSpec
     chi_row: tuple = field(init=False, repr=False)
-    tau_cache: Dict[int, int] = field(default_factory=dict, repr=False)
+    values: List[int] = field(init=False, default_factory=list, repr=False)
 
     def __post_init__(self):
         plus, minus, p = _residues(self.spec)
@@ -108,10 +112,9 @@ class TauTable:
         return self.chi_row[n % p]
 
     def tau(self, n: int) -> int:
-        """tau(n) = sum over d | n of X(d)*d, by divisor enumeration."""
-        got = self.tau_cache.get(n)
-        if got is not None:
-            return got
+        """tau(n) = sum over d | n of X(d)*d."""
+        if n < len(self.values):
+            return self.values[n]
         total = 0
         d = 1
         while d * d <= n:
@@ -121,20 +124,19 @@ class TauTable:
                 if e != d:
                     total += self.chi(e) * e
             d += 1
-        self.tau_cache[n] = total
         return total
 
     def fill(self, n_max: int):
         """Sieve tau for all n <= n_max (faster than per-n enumeration)."""
         totals = [0] * (n_max + 1)
+        row, p = self.chi_row, len(self.chi_row)
         for d in range(1, n_max + 1):
-            x = self.chi(d)
+            x = row[d % p]
             if x:
                 step = x * d
                 for m in range(d, n_max + 1, d):
                     totals[m] += step
-        for n in range(1, n_max + 1):
-            self.tau_cache[n] = totals[n]
+        self.values = totals
         return self
 
 
@@ -179,16 +181,18 @@ def tau_relation_scan(spec: RQSpec, J: int, n_max: int) -> List[TauRelation]:
     Returned vectors are primitive integers with positive leading entry.
     """
     table = TauTable(spec).fill(J * n_max)
-    matrix = [[table.tau(j * n) for j in range(1, J + 1)]
+    matrix = [[table.values[j * n] for j in range(1, J + 1)]
               for n in range(1, n_max + 1)]
     basis = nullspace_rational(matrix)
     relations = []
     hi = TAU_REVERIFY_FACTOR * n_max
-    table.fill(J * hi)
+    # the longer table is sieved only now, so it is not held through the
+    # nullspace solve
+    values = table.fill(J * hi).values
     for vec in basis:
-        ok = all(
-            sum(c * table.tau(j * n) for j, c in enumerate(vec, start=1)) == 0
-            for n in range(n_max + 1, hi + 1))
+        support = [(j, c) for j, c in enumerate(vec, start=1) if c]
+        ok = all(sum(c * values[j * n] for j, c in support) == 0
+                 for n in range(n_max + 1, hi + 1))
         relations.append(TauRelation(
             spec, J, n_max, list(vec),
             "re-verified" if ok else "empirical"))

@@ -10,6 +10,15 @@ The u^i v^j series are formed in one place, ``_monomial_series``: they are
 the columns of the mining matrix, and a re-verification residual P(u, v)
 is the integer combination of the columns of P's monomials, built once
 on the longer series for all candidates together.
+
+The rows are filled by index: a column's stored coefficients are placed
+on the common exponent lattice by integer arithmetic, with no exponent
+lookups.  A column u^i v^j is supported on its lead exponent plus
+multiples of the step of the underlying q-series, so a row is nonzero
+only in the columns of one coset of that step, and the matrix falls apart
+into at least one block per coset.  ``linalg.nullspace_rational`` finds
+the blocks from the nonzero pattern and solves each on its own, so no
+coset arithmetic is needed here.
 """
 
 from __future__ import annotations
@@ -135,9 +144,21 @@ class MiningJob:
         return lcm(self.u.lattice_denom(), self.v.lattice_denom())
 
     def steps(self) -> int:
+        """Series order in lattice steps.
+
+        By default, the fewest steps that give a row for every monomial
+        and guard row, and never fewer than one step more than that
+        count.  Every column is cut like a product with the constant 1,
+        which is known to floor(order) on whole q-units, so the rows run
+        over floor(order) units from the lowest column lead: there are
+        ``denom * floor(order) + 1`` of them.
+        """
         if self.order_steps is not None:
             return self.order_steps
-        return 1 + len(self.monomials()) + GUARD_ROWS
+        needed = len(self.monomials()) + GUARD_ROWS
+        denom = self.lattice_denom()
+        units = -(-(needed - 1) // denom)
+        return max(1 + needed, units * denom)
 
     def to_json(self) -> dict:
         return {"u": self.u.to_json(), "v": self.v.to_json(),
@@ -188,7 +209,9 @@ def _coefficient_matrix(columns: List[FormalSeries]):
 
     The row range starts at the lowest exponent any monomial reaches and
     extends as far as every column is defined; the caller decides whether
-    that is enough rows.
+    that is enough rows.  On the common lattice ``denom``, a column's k-th
+    stored coefficient is the one of exponent numerator
+    (lead + k) * (denom // column denom), which gives its row by index.
     """
     denom = 1
     for col in columns:
@@ -198,10 +221,16 @@ def _coefficient_matrix(columns: List[FormalSeries]):
     hi = min(col.trunc for col in columns)
     n_lo = int(lo * denom)
     n_hi = int(hi * denom)
-    rows = []
-    for n in range(n_lo, n_hi + 1):
-        e = Fraction(n, denom)
-        rows.append([col.coeff(e) for col in columns])
+    rows = [[0] * len(columns) for _ in range(n_lo, n_hi + 1)]
+    for k, col in enumerate(columns):
+        step = denom // col.denom
+        n = col.lead * step - n_lo
+        for c in col.coeffs:
+            if n >= len(rows):
+                break
+            if c:
+                rows[n][k] = c
+            n += step
     return rows, Fraction(n_hi, denom)
 
 

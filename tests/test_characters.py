@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from rqwork.characters import (DivisorCombination, RQSpec, SpecError,
-                               TauRelation, TauTable, decompose_character,
-                               tau_relation_scan)
+from rqwork.characters import (TAU_REVERIFY_FACTOR, DivisorCombination,
+                               RQSpec, SpecError, TauRelation, TauTable,
+                               decompose_character, tau_relation_scan)
 
 
 class TestSpec:
@@ -66,11 +66,11 @@ class TestTau:
             assert table.tau(n) == v, n
 
     def test_fill_matches_direct(self):
+        # the sieved list up to 300, and the divisor path above it
         spec = RQSpec(1, 3, 7)
         filled = TauTable(spec).fill(300)
-        lazy = TauTable(spec)
-        for n in range(1, 301):
-            assert filled.tau(n) == lazy.tau(n), n
+        for n in range(1, 341):
+            assert filled.tau(n) == _tau_by_divisors(spec, n), n
 
     def test_modulus_multiplier_invariance(self):
         # divisors of 17n beyond those of n are all killed by chi
@@ -80,7 +80,26 @@ class TestTau:
             assert t.tau(17 * n) == t.tau(n)
 
 
+def _tau_by_divisors(spec, n):
+    a, b, p = spec.as_ints()
+    plus = {a % p, -a % p}
+    minus = {b % p, -b % p}
+    return sum(d * ((d % p in plus) - (d % p in minus))
+               for d in range(1, n + 1) if n % d == 0)
+
+
 class TestScan:
+    def test_statuses_match_divisor_recheck(self):
+        # a short sample leaves spurious vectors that fail past n_max
+        spec = RQSpec(1, 4, 17)
+        rels = tau_relation_scan(spec, 17, 10)
+        assert {r.status for r in rels} == {"re-verified", "empirical"}
+        for rel in rels:
+            holds = all(
+                sum(c * _tau_by_divisors(spec, j * n) for j, c in rel.support())
+                == 0 for n in range(11, TAU_REVERIFY_FACTOR * 10 + 1))
+            assert rel.status == ("re-verified" if holds else "empirical")
+
     def test_finds_prime_periodicity(self):
         rels = tau_relation_scan(RQSpec(1, 2, 5), 5, 60)
         vectors = {tuple(r.coeffs) for r in rels}

@@ -138,6 +138,14 @@ class TestJobs:
         _, second, _ = run(capsys, *argv)
         assert first == second
 
+    def test_mine_default_order_fills_rows(self, capsys):
+        # the default order must cover the rows lost to whole q-units
+        code, reports, _ = run(capsys, "mine", "--spec", "1,2,4",
+                               "--alpha", "1", "--beta", "2", "--box", "3")
+        assert code == 0
+        assert reports[0]["polynomials"] == []
+        assert reports[0]["matrix_rows"] >= 16 + 30
+
     def test_tau_scan(self, capsys):
         code, reports, _ = run(capsys, "tau-scan", "--spec", "1,2,5",
                                "--J", "5", "--nmax", "60")

@@ -1,6 +1,7 @@
 """Unit tests for polynomial canonicalization and nullspace mining."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,8 @@ from rqwork import quantities as Q
 from rqwork import series as S
 from rqwork.characters import RQSpec
 from rqwork.modeq import (BivariatePolynomial, MiningError, MiningJob,
-                          SeriesRecipe, mine, n_series, verify_relation)
+                          SeriesRecipe, _coefficient_matrix, mine, n_series,
+                          verify_relation)
 
 
 class TestPolynomial:
@@ -150,3 +152,22 @@ def test_verify_relation_matches_plain_arithmetic(u, v, coeffs, related, k):
     assert verdict == _plain_verdict(poly, u, v, order)
     if related:
         assert verdict["verdict"] == "holds_to_order"
+
+
+# the index-addressed mining rows against per-exponent coeff() lookups
+
+column_st = st.builds(
+    S.FormalSeries, st.integers(1, 6), st.integers(-4, 8),
+    st.lists(st.integers(min_value=-3, max_value=3), max_size=10))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(column_st, min_size=1, max_size=4))
+def test_coefficient_matrix_matches_coeff_lookup(columns):
+    denom = lcm(*(col.denom for col in columns))
+    lo = min(col.trunc if col.is_zero else col.lead_exponent
+             for col in columns)
+    hi = min(col.trunc for col in columns)
+    expected = [[col.coeff(Fraction(n, denom)) for col in columns]
+                for n in range(int(lo * denom), int(hi * denom) + 1)]
+    assert _coefficient_matrix(columns) == (expected, hi)
