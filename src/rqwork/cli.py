@@ -61,6 +61,14 @@ def _positive_fraction(text: str) -> Fraction:
     return value
 
 
+def _count(text: str) -> int:
+    """A whole number of at least 1: digits, degree, box size or range."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a whole number >= 1, got {text!r}")
+    return int(text)
+
+
 def _number(text: str) -> str:
     """A finite decimal, checked here and kept as typed for the report."""
     try:
@@ -93,13 +101,13 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("tau", help="divisor-sum values of the character")
     sp.add_argument("--spec", required=True, type=_spec)
-    sp.add_argument("--nmax", type=int, default=50)
+    sp.add_argument("--nmax", type=_count, default=50)
     common(sp)
 
     sp = sub.add_parser("tau-scan", help="mine linear tau relations")
     sp.add_argument("--spec", required=True, type=_spec)
-    sp.add_argument("--J", type=int, required=True)
-    sp.add_argument("--nmax", type=int, required=True)
+    sp.add_argument("--J", type=_count, required=True)
+    sp.add_argument("--nmax", type=_count, required=True)
     common(sp)
 
     sp = sub.add_parser("mine", help="mine bivariate modular equations")
@@ -110,8 +118,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--beta", default="2", type=_positive_fraction,
                     help="substitution power for v")
     shape = sp.add_mutually_exclusive_group()
-    shape.add_argument("--box", type=int, help="box shape 0<=i,j<=s")
-    shape.add_argument("--total", type=int, help="total-degree shape i+j<=d")
+    shape.add_argument("--box", type=_count, help="box shape 0<=i,j<=s")
+    shape.add_argument("--total", type=_count,
+                       help="total-degree shape i+j<=d")
     sp.add_argument("--order", type=int, help="series order in lattice steps")
     common(sp)
 
@@ -128,7 +137,7 @@ def build_parser() -> _Parser:
                        help="evaluation point in (0,1)")
     point.add_argument("--r", type=_fraction,
                        help="evaluate at the nome e^(-pi sqrt(r))")
-    sp.add_argument("--digits", type=int, default=50)
+    sp.add_argument("--digits", type=_count, default=50)
     common(sp)
 
     sp = sub.add_parser("check", help="numeric verification of a closed form")
@@ -140,7 +149,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--spec", type=_spec)
     sp.add_argument("--r", type=_fraction, default=Fraction(1))
     sp.add_argument("--q", type=_number)
-    sp.add_argument("--digits", type=int, default=50)
+    sp.add_argument("--digits", type=_count, default=50)
     common(sp)
 
     sp = sub.add_parser("recognize", help="integer polynomial for a constant")
@@ -150,8 +159,8 @@ def build_parser() -> _Parser:
     target.add_argument("--spec", type=_spec,
                         help="recognize the quantity at --r instead")
     sp.add_argument("--r", type=_fraction, default=Fraction(1))
-    sp.add_argument("--degree", type=int, default=4)
-    sp.add_argument("--digits", type=int, default=50)
+    sp.add_argument("--degree", type=_count, default=4)
+    sp.add_argument("--digits", type=_count, default=50)
     common(sp)
 
     return p
@@ -247,8 +256,7 @@ def _run_eval(args):
     ctx = numerics.context(args.digits)
     mp = ctx.mp
     if args.r is not None:
-        data = numerics.singular_modulus(args.r, ctx)
-        q = data.q
+        q = numerics.nome(args.r, ctx)
     else:
         q = mp.mpf(args.q)
         if not 0 < q < 1:
@@ -296,8 +304,7 @@ def _run_recognize(args):
         x = ctx.mp.mpf(args.value)
         label = args.value
     else:
-        data = numerics.singular_modulus(args.r, ctx)
-        x = numerics.eval_rq(args.spec, data.q, ctx)
+        x = numerics.eval_rq(args.spec, numerics.nome(args.r, ctx), ctx)
         label = f"{args.spec} at r={args.r}"
     found = numerics.recognize_algebraic(x, args.degree, ctx)
     payload = {"target": label, "x": ctx.str_of(x),

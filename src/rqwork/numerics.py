@@ -1,9 +1,10 @@
 """High-precision numeric verification of the quantities and their derivatives.
 
 Everything here is floating-point cross-checking of the exact-series side
-of the package: AGM elliptic integrals, singular moduli, product / theta /
-continued-fraction evaluation at the nome q = e^(-pi sqrt(r)), the closed
-derivative formulas, and integer-relation recognition of algebraic values.
+of the package: singular moduli from theta values at the nome
+q = e^(-pi sqrt(r)), each checked by an AGM run; product / theta /
+continued-fraction evaluation at that nome; the closed derivative
+formulas; and integer-relation recognition of algebraic values.
 Derivative checks differentiate the exact series and then evaluate; no
 finite differences anywhere.
 """
@@ -81,97 +82,49 @@ def _to_mpf(mp, x):
     return mp.mpf(x.numerator) / mp.mpf(x.denominator)
 
 
-def elliptic_K(k, ctx: PrecisionContext):
-    """Complete elliptic integral of the first kind by AGM iteration."""
-    mp = ctx.mp
-    k = mp.mpf(k)
-    K, _ = _agm_K_E(k, mp.sqrt(1 - k * k), ctx)
-    return K
-
-
-def _agm_K_E(k, kc, ctx: PrecisionContext):
-    """(K(k), E(k)) from one AGM run; modulus convention, not parameter.
-
-    ``kc`` is the complementary modulus sqrt(1 - k^2).  Callers that hold
-    it pass it in: for small k, k' = sqrt(1 - k^2) rounds to within k^2 of
-    1, and rebuilding k from k' would lose the digits of k^2.
-    """
-    mp = ctx.mp
-    k = mp.mpf(k) if not isinstance(k, mp.mpf) else k
-    if not (0 <= k < 1):
-        raise NumericsError(f"modulus must lie in [0,1), got {k}")
-    a = mp.mpf(1)
-    b = kc
-    c = k
-    csum = c * c / 2
-    scale = mp.mpf(1)
-    tol = ctx.tail_tolerance
-    for _ in range(ctx.digits.bit_length() + 8):
-        a, b, c = (a + b) / 2, mp.sqrt(a * b), (a - b) / 2
-        scale *= 2
-        csum += scale * c * c / 2
-        if abs(c) < tol:
-            break
-    K = mp.pi / (2 * a)
-    E = K * (1 - csum)
-    return K, E
-
-
-def _dK_dk(k, kc, ctx: PrecisionContext):
-    """dK/dk at modulus k with complementary modulus kc."""
-    K, E = _agm_K_E(k, kc, ctx)
-    kc2 = kc * kc
-    return (E - kc2 * K) / (k * kc2)
-
-
-def singular_modulus(r, ctx: PrecisionContext) -> EllipticData:
-    """Solve K(k')/K(k) = sqrt(r) for the singular modulus k_r.
-
-    Bisection to ~12 digits for a safe bracket, then Newton; the
-    derivative of the ratio comes from the AGM-computed E.  K(k') runs
-    the AGM on (1, k) directly, so small k keeps its digits.  Iteration
-    cap 200, after which non-convergence is an error.
-    """
+def nome(r, ctx: PrecisionContext):
+    """The nome q = e^(-pi sqrt(r)) of the singular value r > 0."""
     mp = ctx.mp
     r = _frac(r)
     if r <= 0:
         raise NumericsError("r must be positive")
-    target = mp.sqrt(_to_mpf(mp, r))
+    return mp.exp(-mp.pi * mp.sqrt(_to_mpf(mp, r)))
 
-    def K(k, kc):
-        return _agm_K_E(k, kc, ctx)[0]
 
-    def ratio(k):
-        kp = mp.sqrt(1 - k * k)
-        return K(kp, k) / K(k, kp) - target
+def elliptic_K(k, ctx: PrecisionContext):
+    """Complete elliptic integral of the first kind, pi / (2 AGM(1, k'))."""
+    mp = ctx.mp
+    k = mp.mpf(k)
+    if not (0 <= k < 1):
+        raise NumericsError(f"modulus must lie in [0,1), got {k}")
+    return mp.pi / (2 * mp.agm(1, mp.sqrt(1 - k * k)))
 
-    lo = mp.mpf(10) ** (-ctx.digits)
-    hi = 1 - lo
-    # ratio is strictly decreasing in k
-    k = mp.mpf(1) / 2
-    for _ in range(45):
-        k = (lo + hi) / 2
-        if ratio(k) > 0:
-            lo = k
-        else:
-            hi = k
-    tol = mp.mpf(10) ** (-(ctx.digits + ctx.guard - 3))
-    for step in range(200):
-        kp = mp.sqrt(1 - k * k)
-        Kk = K(k, kp)
-        Kp = K(kp, k)
-        g = Kp / Kk - target
-        dg = (_dK_dk(kp, k, ctx) * (-k / kp) * Kk
-              - Kp * _dK_dk(k, kp, ctx)) / (Kk * Kk)
-        delta = g / dg
-        k = k - delta
-        if abs(delta) < tol:
-            break
-    else:
-        raise NumericsError(f"singular modulus did not converge for r={r}")
-    kp = mp.sqrt(1 - k * k)
-    return EllipticData(r=r, k=k, kp=kp, K=K(k, kp),
-                        q=mp.exp(-mp.pi * mp.sqrt(_to_mpf(mp, r))))
+
+def singular_modulus(r, ctx: PrecisionContext) -> EllipticData:
+    """k_r, k'_r and K(k_r) in closed form, checked by K(k')/K(k) = sqrt(r).
+
+    k = theta_2^2/theta_3^2, k' = theta_4^2/theta_3^2, K = (pi/2) theta_3^2
+    at the nome of s = max(r, 1/r) (Borwein & Borwein, Pi and the AGM); for
+    r < 1, k_(1/r) = k'_r swaps k and k' and K_r = sqrt(s) K_s, so theta_4
+    never cancels near q = 1.  The check is AGM(1, k') / AGM(1, k).
+    """
+    mp = ctx.mp
+    r = _frac(r)
+    q = nome(r, ctx)
+    s = max(r, 1 / r)
+    q_s = nome(s, ctx)
+    t = mp.jtheta(3, 0, q_s) ** 2
+    k = mp.jtheta(2, 0, q_s) ** 2 / t
+    kp = mp.jtheta(4, 0, q_s) ** 2 / t
+    K = mp.pi * t / 2
+    if r < 1:
+        k, kp, K = kp, k, K * mp.sqrt(_to_mpf(mp, s))
+    root = mp.sqrt(_to_mpf(mp, r))
+    tol = root * mp.mpf(10) ** (-(ctx.digits + ctx.guard - 5))
+    if not abs(mp.agm(1, kp) / mp.agm(1, k) - root) <= tol:
+        raise NumericsError(
+            f"singular modulus fails K(k')/K(k) = sqrt(r) for r={r}")
+    return EllipticData(r=r, k=k, kp=kp, K=K, q=q)
 
 
 def eval_agile(a_exp, p_exp, q, ctx: PrecisionContext):
@@ -276,9 +229,9 @@ def theta_form_rq(spec: RQSpec, x, ctx: PrecisionContext):
     b = _to_mpf(mp, spec.b)
     p = _to_mpf(mp, spec.p)
     pre = mp.exp(-x * (a * a - b * b) / (2 * p) + x * (a - b) / 2)
-    nome = mp.exp(-p * x / 2)
-    top = eval_theta4((p - 2 * a) * x / 4, nome, ctx)
-    bot = eval_theta4((p - 2 * b) * x / 4, nome, ctx)
+    q = mp.exp(-p * x / 2)
+    top = eval_theta4((p - 2 * a) * x / 4, q, ctx)
+    bot = eval_theta4((p - 2 * b) * x / 4, q, ctx)
     return pre * top / bot
 
 

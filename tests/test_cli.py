@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rqwork import cli, quantities
+from rqwork import cli, numerics, quantities
 from rqwork.cli import SCHEMA, dispatch
 from rqwork.quantities import IdentityRecord
 from rqwork.series import constant, make_series
@@ -43,8 +43,18 @@ class TestExitCodes:
         ["recognize", "--value", "inf"],
         ["mine", "--spec", "1,2,5", "--alpha", "0"],
         ["mine", "--spec", "1,2,5", "--beta", "0"],
+        ["mine", "--spec", "1,2,5", "--box", "-1"],
+        ["mine", "--spec", "1,2,5", "--total", "-1"],
+        ["mine", "--spec", "1,2,5", "--box", "0"],
+        ["eval", "--spec", "1,2,5", "--r", "1", "--digits", "-5"],
+        ["eval", "--spec", "1,2,5", "--r", "1", "--digits", "0"],
+        ["check", "--case", "gg-value", "--digits", "2.5"],
+        ["recognize", "--value", "0.5", "--degree", "0"],
+        ["tau", "--spec", "1,2,5", "--nmax", "0"],
+        ["tau-scan", "--spec", "1,2,5", "--J", "0", "--nmax", "5"],
     ])
     def test_usage_error_bad_number(self, capsys, argv):
+        # a usage error is reported, not raised as a traceback
         assert dispatch(argv) == 1
         assert capsys.readouterr().err.startswith("rq: ")
 
@@ -159,6 +169,14 @@ class TestJobs:
         assert code == 0
         err = float(reports[0]["cross_check_abs_err"])
         assert err < 1e-25
+
+    @pytest.mark.parametrize("r", ["1000", "1/1000"])
+    def test_eval_extreme_r(self, capsys, r):
+        code, reports, _ = run(capsys, "eval", "--spec", "1,2,5", "--r", r,
+                               "--digits", "30")
+        assert code == 0
+        ctx = numerics.context(30)
+        assert reports[0]["q"] == ctx.str_of(numerics.nome(r, ctx))
 
     def test_check_refuted_exits_two(self, capsys):
         # the printed closed form this check adjudicates is wrong, but the

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from rqwork import numerics, quantities
@@ -12,6 +13,26 @@ from rqwork.numerics import NumericsError, context
 @pytest.fixture(scope="module")
 def ctx():
     return context(40)
+
+
+def _assert_defining_ratio(d, digits):
+    """K(k')/K(k) = sqrt(r) by mpmath.ellipk, to 10^-digits in the smaller k.
+
+    K of the larger modulus comes from 1 - m, with m the square of the
+    smaller one, in a context wide enough to hold 1 - m exactly: at
+    r = 10^6 the larger modulus is 1 to any working precision.
+    """
+    small = min(d.k, d.kp)
+    wide = mpmath.mp.clone()
+    wide.dps = digits + 20 - 2 * int(mpmath.log10(small))
+    m = wide.mpf(small) ** 2
+    ratio = wide.ellipk(1 - m) / wide.ellipk(m)
+    assert (d.k < d.kp) == (d.r > 1)
+    # d ratio = -(2/pi) dk/k for the smaller modulus k, so this bounds
+    # the relative error of the smaller modulus by about 10^-digits
+    s = max(d.r, 1 / d.r)
+    assert abs(ratio - wide.sqrt(wide.mpf(s.numerator) / s.denominator)) \
+        < wide.mpf(10) ** -digits
 
 
 class TestElliptic:
@@ -40,12 +61,30 @@ class TestElliptic:
     @pytest.mark.parametrize("r,digits", [(58, 30), (64, 50), (100, 50)])
     def test_singular_modulus_small_k(self, r, digits):
         # k is below 1e-4 here, where rebuilding k from k' loses the
-        # digits of k^2; compare with k = theta_2(q)^2 / theta_3(q)^2
+        # digits of k^2
+        _assert_defining_ratio(numerics.singular_modulus(r, context(digits)),
+                               digits)
+
+    @pytest.mark.parametrize("digits", [30, 50, 200])
+    @pytest.mark.parametrize("r", [Fraction(1, 10 ** 6), Fraction(1, 1000),
+                                   Fraction(1000), Fraction(10 ** 6)])
+    def test_singular_modulus_extreme_r(self, r, digits):
         c = context(digits)
-        mp = c.mp
         d = numerics.singular_modulus(r, c)
-        ref = (mp.jtheta(2, 0, d.q) / mp.jtheta(3, 0, d.q)) ** 2
-        assert abs(d.k - ref) < ref * mp.mpf(10) ** -digits
+        inv = numerics.singular_modulus(1 / r, c)
+        tol = c.mp.mpf(10) ** -digits
+        assert abs(inv.k - d.kp) <= tol * d.kp
+        assert abs(inv.kp - d.k) <= tol * d.k
+        assert abs(d.k ** 2 + d.kp ** 2 - 1) <= tol
+        _assert_defining_ratio(d, digits)
+
+    @pytest.mark.parametrize("r", [Fraction(1, 1000), Fraction(1, 2), 2, 1000])
+    def test_wrong_nome_refuted(self, ctx, monkeypatch, r):
+        nome = numerics.nome
+        monkeypatch.setattr(numerics, "nome", lambda r, c: nome(
+            Fraction(r) + Fraction(1, 100), c))
+        with pytest.raises(NumericsError):
+            numerics.singular_modulus(r, ctx)
 
     def test_singular_defining_property(self, ctx):
         mp = ctx.mp
