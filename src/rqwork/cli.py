@@ -10,6 +10,7 @@ dropped, or a numeric check was refuted).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -62,7 +63,7 @@ def _positive_fraction(text: str) -> Fraction:
 
 
 def _count(text: str) -> int:
-    """A whole number of at least 1: digits, degree, box size or range."""
+    """A whole number of at least 1: digits, degree, box, range or order."""
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(
             f"expected a whole number >= 1, got {text!r}")
@@ -80,7 +81,13 @@ def _number(text: str) -> str:
     return text
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The ``rq`` parser, built on first use and reused by every dispatch.
+
+    Parsing does not change it, and every default in the tree is
+    immutable, so one parse cannot leak into the next.
+    """
     p = _Parser(prog="rq", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -121,11 +128,12 @@ def build_parser() -> _Parser:
     shape.add_argument("--box", type=_count, help="box shape 0<=i,j<=s")
     shape.add_argument("--total", type=_count,
                        help="total-degree shape i+j<=d")
-    sp.add_argument("--order", type=int, help="series order in lattice steps")
+    sp.add_argument("--order", type=_count,
+                    help="series order in lattice steps")
     common(sp)
 
     sp = sub.add_parser("verify-identities", help="run the identity registry")
-    sp.add_argument("--order", type=int, default=200,
+    sp.add_argument("--order", type=_count, default=200,
                     help="lattice steps to check")
     sp.add_argument("--id", dest="only", help="verify just this entry")
     common(sp)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, lcm
 from typing import Dict, Tuple
 
 from . import series as S
@@ -20,14 +20,16 @@ from .series import FormalSeries, _frac
 
 
 def agile_series(a_exp, p_exp, order) -> FormalSeries:
-    """The product (q^(p-a); q^p)_inf (q^a; q^p)_inf, exact to ``order``."""
+    """The product (q^(p-a); q^p)_inf (q^a; q^p)_inf, exact to floor(order).
+
+    Both residue progressions multiply one coefficient list in place, one
+    factor (1 - q^e) at a time, with no convolution.
+    """
     a = _frac(a_exp)
     p = _frac(p_exp)
     if not 0 < a < p:
         raise SpecError("agile requires 0 < a < p")
-    order = _frac(order)
-    return (S.pochhammer_inf(p - a, p, order)
-            * S.pochhammer_inf(a, p, order)).truncated(order)
+    return S._pochhammer_product((p - a, a), p, order)
 
 
 def rq_series(spec: RQSpec, order) -> FormalSeries:
@@ -40,10 +42,45 @@ def rq_series(spec: RQSpec, order) -> FormalSeries:
 
 
 def rq_star_series(spec: RQSpec, order) -> FormalSeries:
-    """The agile quotient without the q^Q prefactor."""
-    order = _frac(order)
-    return (agile_series(spec.a, spec.p, order)
-            / agile_series(spec.b, spec.p, order)).truncated(order)
+    """The agile quotient [a,p;q]/[b,p;q] without the q^Q prefactor.
+
+    By the Jacobi triple product [x,p;q] (q^p;q^p)_inf equals the theta
+    sum of :func:`_theta_terms`, so the quotient is a quotient of two
+    sums with O(sqrt N) terms each.  Both have constant term 1, and one
+    sparse recurrence y_k = a_k - sum_(e>=1) b_e y_(k-e) divides them
+    exactly, to floor(order) like :func:`agile_series`.
+    """
+    d = lcm(spec.a.denominator, spec.b.denominator, spec.p.denominator)
+    n = S._whole_steps(order, d)
+    out = [0] * (n + 1)
+    for e, c in _theta_terms(spec.a, spec.p, d, n).items():
+        out[e] = c
+    den = sorted((e, c) for e, c in _theta_terms(spec.b, spec.p, d, n).items()
+                 if e)
+    for k in range(n + 1):
+        y = out[k]
+        for e, c in den:
+            if e > k:
+                break
+            y -= c * out[k - e]
+        out[k] = y
+    return FormalSeries(d, 0, out)
+
+
+def _theta_terms(x, p, d, n) -> Dict[int, int]:
+    """sum_m (-1)^m q^(p m(m-1)/2 + x m) to q^(n/d), keyed by steps of 1/d.
+
+    For 0 < x < p the exponents grow with |m| in both directions and only
+    m = 0 sits at 0.  Coinciding exponents are summed: for 2x = p, m and
+    -m meet at p m^2/2.
+    """
+    P, X = int(p * d), int(x * d)
+    terms = {}
+    for m, step in ((0, 1), (-1, -1)):
+        while (e := P * m * (m - 1) // 2 + X * m) <= n:
+            terms[e] = terms.get(e, 0) + (-1 if m % 2 else 1)
+            m += step
+    return terms
 
 
 def product_over_X(spec: RQSpec, order: int) -> FormalSeries:

@@ -13,7 +13,7 @@ arithmetic (min rule for addition, product rule for multiplication).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd, lcm
 from typing import Iterable, Sequence, Tuple, Union
 
 from ._backend import convolve, reciprocal
@@ -64,7 +64,7 @@ class FormalSeries:
     def __init__(self, denom: int, lead: int, coeffs: Sequence):
         if denom <= 0:
             raise SeriesError("denom must be positive")
-        coeffs = [_coeff(c) for c in coeffs]
+        coeffs = [c if type(c) is int else _coeff(c) for c in coeffs]
         # strip leading zeros so that coeffs[0] != 0 for nonzero series
         k = 0
         while k < len(coeffs) and not coeffs[k]:
@@ -407,21 +407,44 @@ def zero(order: RationalLike) -> FormalSeries:
 
 def pochhammer_inf(a_exp: RationalLike, p_exp: RationalLike,
                    order: RationalLike) -> FormalSeries:
-    """(q^a; q^p)_infinity truncated at ``order``; exact.
+    """(q^a; q^p)_infinity, exact to the last whole power of q <= ``order``.
 
     Only finitely many factors reach below any finite order, so the
-    truncated product is computed exactly.
+    truncated product is exact.  Each factor (1 - q^e) is one in-place
+    pass over a single coefficient list.
     """
     a = _frac(a_exp)
     p = _frac(p_exp)
-    order = _frac(order)
     if a <= 0:
         raise SeriesError("first exponent must be positive")
     if p <= 0:
         raise SeriesError("step exponent must be positive")
-    result = constant(1, order)
-    e = a
-    while e <= order:
-        result = result * make_series([(0, 1), (e, -1)], order)
-        e += p
-    return result.truncated(order)
+    return _pochhammer_product((a,), p, order)
+
+
+def _pochhammer_product(starts, p: Fraction, order) -> FormalSeries:
+    """prod over a in ``starts`` of (q^a; q^p)_inf, exact to floor(order).
+
+    One list of lattice coefficients is multiplied by each factor
+    (1 - q^e) in place, c_k <- c_k - c_(k-e), so no factor costs a
+    convolution and integer coefficients stay ``int``.
+    """
+    d = lcm(p.denominator, *(a.denominator for a in starts))
+    n = _whole_steps(order, d)
+    out = [1] + [0] * n
+    for a in starts:
+        for e in range(int(a * d), n + 1, int(p * d)):
+            out[e:] = [x - y for x, y in zip(out[e:], out)]
+    return FormalSeries(d, 0, out)
+
+
+def _whole_steps(order, d: int) -> int:
+    """Steps of 1/d up to the last whole power of q at or below ``order``.
+
+    This is how far a product built up from ``constant(1, order)`` is
+    known, because the constant 1 sits on the integer lattice.
+    """
+    order = _frac(order)
+    if order < 0:
+        raise SeriesError("exponent beyond requested order")
+    return floor(order) * d

@@ -1,6 +1,9 @@
 """Unit tests for the batch CLI: exit codes, report schema, round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -52,6 +55,9 @@ class TestExitCodes:
         ["recognize", "--value", "0.5", "--degree", "0"],
         ["tau", "--spec", "1,2,5", "--nmax", "0"],
         ["tau-scan", "--spec", "1,2,5", "--J", "0", "--nmax", "5"],
+        ["verify-identities", "--order", "0"],
+        ["verify-identities", "--order", "-1"],
+        ["mine", "--spec", "1,2,5", "--order", "0"],
     ])
     def test_usage_error_bad_number(self, capsys, argv):
         # a usage error is reported, not raised as a traceback
@@ -81,6 +87,41 @@ class TestExitCodes:
         monkeypatch.setattr(quantities, "identity_registry", lambda: [soft])
         code, _, _ = run(capsys, "verify-identities", "--order", "20")
         assert code == 0
+
+
+class TestParserReuse:
+    @pytest.mark.parametrize("first,second", [
+        (["series", "--spec", "1,2,5", "--order", "7"],
+         ["series", "--spec", "1,2,5"]),
+        (["mine", "--spec", "1,2,5", "--box", "3"],
+         ["mine", "--spec", "1,2,5", "--total", "3"]),
+        (["mine", "--spec", "1,2,5", "--box", "3", "--total", "3"],
+         ["mine", "--spec", "1,2,5", "--total", "3"]),
+    ])
+    def test_each_parse_equals_a_fresh_process(self, capsys, first, second):
+        # one parser serves every dispatch in a process; a parse must see
+        # neither the options nor the failure of the one before it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]]
+                     if os.environ.get("PYTHONPATH") else [])))
+
+        def alone(argv):
+            proc = subprocess.run([sys.executable, "-m", "rqwork.cli", *argv],
+                                  capture_output=True, text=True, env=env,
+                                  timeout=120)
+            return proc.returncode, proc.stdout, proc.stderr
+
+        def in_process(argv):
+            code = dispatch(argv)
+            out = capsys.readouterr()
+            return code, out.out, out.err
+
+        parser = cli.build_parser()
+        together = [in_process(argv) for argv in (first, second)]
+        assert cli.build_parser() is parser
+        assert together == [alone(argv) for argv in (first, second)]
+        assert together[1][0] == 0
 
 
 class TestReports:

@@ -1,8 +1,11 @@
 """Unit tests for the quantity builders and the identity registry."""
 
 from fractions import Fraction
+from math import floor
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rqwork import quantities as Q
 from rqwork import series as S
@@ -46,6 +49,46 @@ class TestQuotientSeries:
         for abp in [(1, 2, 5), (1, 3, 8), (1, 4, 17), (2, 3, 11)]:
             spec = RQSpec(*abp)
             assert Q.product_over_X(spec, 40) == Q.rq_star_series(spec, 40)
+
+
+unit_st = st.fractions(min_value=0, max_value=1, max_denominator=8).filter(
+    lambda r: 0 < r < 1)
+spec_st = st.one_of(
+    st.integers(min_value=3, max_value=12).flatmap(
+        lambda p: st.tuples(st.integers(1, p - 1), st.integers(1, p - 1),
+                            st.just(p))),
+    st.tuples(st.fractions(min_value=0, max_value=6,
+                           max_denominator=3).filter(bool),
+              unit_st, unit_st).map(lambda t: (t[0] * t[1], t[0] * t[2],
+                                               t[0])),
+).filter(lambda abp: abp[0] != abp[1]).map(lambda abp: RQSpec(*abp))
+order_st = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=6),
+    st.fractions(min_value=0, max_value=24, max_denominator=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec_st, order_st)
+@example(RQSpec(2, 1, 4), Fraction(30))
+@example(RQSpec(1, 3, 6), Fraction(5, 6))
+@example(RQSpec(Fraction(1, 2), Fraction(1, 3), 1), Fraction(23, 2))
+@example(RQSpec(Fraction(1, 3), Fraction(2, 3), Fraction(5, 3)),
+         Fraction(10, 3))
+def test_theta_quotient_matches_agile_quotient(spec, order):
+    # the triple-product route against the product route: the quotient of
+    # two one-list agiles by a dense reciprocal, each agile also checked as
+    # the convolution of its two Pochhammer products
+    a, b, p = spec.a, spec.b, spec.p
+    agiles = []
+    for x in (a, b):
+        agile = Q.agile_series(x, p, order)
+        assert agile == (S.pochhammer_inf(p - x, p, order)
+                         * S.pochhammer_inf(x, p, order)).truncated(order)
+        agiles.append(agile)
+    got = Q.rq_star_series(spec, order)
+    assert got == (agiles[0] / agiles[1]).truncated(order)
+    assert got.trunc == floor(order)
+    assert all(type(c) is int for c in got.coeffs)
 
 
 class TestLogDerivative:

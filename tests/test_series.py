@@ -351,6 +351,33 @@ def test_matches_plain_fraction_arithmetic(a, b, c, k, m):
         assert_plain(s ** k, want)
 
 
+def plain_pochhammer(a, p, order):
+    """prod (1 - q^e), e = a, a+p, ..., by plain dict products.
+
+    Known to the last whole power of q at or below ``order``, the
+    truncation of a product that starts from the constant 1.
+    """
+    trunc = floor(order)
+    terms = {Fraction(0): Fraction(1)}
+    e = a
+    while e <= trunc:
+        shifted = {f + e: -c for f, c in terms.items() if f + e <= trunc}
+        terms = plain_add((terms, trunc), (shifted, trunc))[0]
+        e += p
+    return terms, Fraction(trunc)
+
+
+positive_st = st.fractions(min_value=0, max_value=3,
+                           max_denominator=4).filter(bool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(positive_st, positive_st,
+       st.fractions(min_value=0, max_value=12, max_denominator=6))
+def test_pochhammer_matches_plain_product(a, p, order):
+    assert_plain(pochhammer_inf(a, p, order), plain_pochhammer(a, p, order))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(coeff_st, min_size=1, max_size=8),
        st.integers(min_value=1, max_value=12))
