@@ -260,15 +260,20 @@ def _run_verify_identities(args):
     return reports, status
 
 
+def _unit_q(text: str, ctx):
+    """A --q value as an mpf, which must lie strictly between 0 and 1."""
+    q = ctx.mp.mpf(text)
+    if not 0 < q < 1:
+        raise UsageError("--q must lie in (0,1)")
+    return q
+
+
 def _run_eval(args):
     ctx = numerics.context(args.digits)
-    mp = ctx.mp
     if args.r is not None:
         q = numerics.nome(args.r, ctx)
     else:
-        q = mp.mpf(args.q)
-        if not 0 < q < 1:
-            raise UsageError("--q must lie in (0,1)")
+        q = _unit_q(args.q, ctx)
     value = numerics.eval_rq(args.spec, q, ctx)
     # independent cross-check through the exact series
     order = numerics.series_order_for(float(q), ctx)
@@ -291,6 +296,8 @@ def _run_check(args):
     elif case == "quartic-value":
         rep = numerics.check_quartic_value(args.r, ctx)
     elif case == "gg-value":
+        if args.r != 1:
+            raise UsageError("gg value is stated at r = 1")
         rep = numerics.check_gg_value(ctx)
     elif case == "theta-coherence":
         if args.spec is None:
@@ -299,7 +306,8 @@ def _run_check(args):
     elif case == "root-of-unity":
         if args.spec is None or args.q is None:
             raise UsageError("root-of-unity needs --spec and --q")
-        rep = numerics.check_root_of_unity_product(args.spec, args.q, ctx)
+        rep = numerics.check_root_of_unity_product(
+            args.spec, _unit_q(args.q, ctx), ctx)
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown case {case!r}")
     status = 0 if rep.get("verdict") == "confirmed" else 2

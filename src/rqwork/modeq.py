@@ -320,7 +320,7 @@ def n_series(spec: RQSpec, order) -> FormalSeries:
     """
     order = _frac(order)
     rel = order + Fraction(1, 6) + 1
-    f4 = Qm.f_minus_q_power(1, rel) ** 4
+    f4_inv = Qm.eta_quotient_series(0, {1: -4}, rel)
     m = Qm.m_series(spec, int(rel) + 1)
     pre = S.make_series([(Fraction(-1, 6), 1)], order)
-    return (pre * (m / f4)).truncated(order)
+    return (pre * (m * f4_inv)).truncated(order)

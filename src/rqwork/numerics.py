@@ -510,9 +510,10 @@ def check_gg_value(ctx: PrecisionContext) -> dict:
 def check_theta_coherence(spec: RQSpec, r, ctx: PrecisionContext) -> dict:
     """Theta-quotient form of R against the agile product form."""
     mp = ctx.mp
+    q = nome(r, ctx)  # rejects r <= 0
     x = mp.pi * mp.sqrt(_to_mpf(mp, r))
     lhs = theta_form_rq(spec, x, ctx)
-    rhs = eval_rq(spec, mp.exp(-x), ctx)
+    rhs = eval_rq(spec, q, ctx)
     return _report("theta-coherence", ctx, lhs, rhs,
                    spec=str(spec), r=str(_frac(r)))
 

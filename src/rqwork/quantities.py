@@ -9,10 +9,11 @@ exactly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm
-from typing import Dict, Tuple
+from math import ceil, gcd, lcm
+from typing import Dict
 
 from . import series as S
 from .characters import RQSpec, SpecError, TauTable
@@ -106,58 +107,28 @@ def m_series(spec: RQSpec, order: int) -> FormalSeries:
     return S.make_series(terms, order)
 
 
-def eta_series(order: int) -> FormalSeries:
-    """f(-q) by the pentagonal expansion."""
-    order = int(order)
-    terms = []
-    k = 0
-    while k * (3 * k - 1) // 2 <= order:  # the smaller pentagonal number
-        for kk in ((k, -k) if k else (0,)):
-            e = kk * (3 * kk - 1) // 2
-            if e <= order:
-                terms.append((e, (-1) ** (kk % 2)))
-        k += 1
-    return S.make_series(terms, order)
+def eta_quotient_series(prefactor_exp, factors: Dict, order) -> FormalSeries:
+    """q^prefactor_exp * prod_m f(-q^m)^e_m for ``factors`` = {m: e_m}.
 
-
-def f_minus_q_power(m, order) -> FormalSeries:
-    """f(-q^m) truncated at ``order`` (rational m > 0 allowed)."""
-    m = _frac(m)
-    order = _frac(order)
-    base = eta_series(max(0, ceil(order / m)))
-    # trunc is m*ceil(order/m) >= order; keep the margin, callers truncate
-    return base.substitute_power(m)
-
-
-def x_minus_q_power(m, order) -> FormalSeries:
-    """X(-q^m) = prod (1 - q^(m(2n+1))), the odd-exponent eta-type product."""
-    m = _frac(m)
-    return S.pochhammer_inf(m, 2 * m, _frac(order))
-
-
-@dataclass(frozen=True)
-class EtaQuotient:
-    """q^prefactor_exp * prod_m f(-q^m)^e_m."""
-
-    prefactor_exp: Fraction
-    factors: Tuple[Tuple[Fraction, int], ...]
-
-    @classmethod
-    def build(cls, prefactor_exp, factors: Dict) -> "EtaQuotient":
-        items = tuple(sorted((_frac(m), int(e)) for m, e in factors.items()))
-        return cls(_frac(prefactor_exp), items)
-
-
-def eta_quotient_series(eq: EtaQuotient, order) -> FormalSeries:
-    order = _frac(order)
-    rel = order - eq.prefactor_exp
-    result = S.make_series([(eq.prefactor_exp, 1)], order)
-    for m, e in eq.factors:
-        if e == 0:
-            continue
-        f = f_minus_q_power(m, rel)
-        result = result * (f ** e)
-    return result.truncated(order)
+    f(-q^m)^e multiplies every factor (1 - q^(m k)) by e, so the whole
+    quotient is one Euler product of summed multiplicities.  When every
+    e_m shares a factor g > 1, the g-th root is built and raised to g:
+    a few squarings cost less than g passes per factor.
+    """
+    pre, order = _frac(prefactor_exp), _frac(order)
+    factors = {_frac(m): int(e) for m, e in factors.items() if e}
+    if any(m <= 0 for m in factors):
+        raise S.SeriesError("eta quotient arguments must be positive")
+    d = lcm(*(m.denominator for m in factors))
+    n = ceil((order - pre) * d)
+    g = gcd(*factors.values()) or 1
+    mult = Counter()
+    for m, e in factors.items():
+        for k in range(int(m * d), n + 1, int(m * d)):
+            mult[k] += e // g
+    root = FormalSeries(d, 0, S._euler_product(mult, n))
+    shift = S.make_series([(pre, 1)], order)
+    return (shift * root ** g).truncated(order)
 
 
 def normalize_rational_spec(spec: RQSpec):
@@ -284,13 +255,13 @@ def _cf_product_builder(A: int, B: int):
 
     def build(order):
         lhs = rq_star_series(RQSpec(a, b, p), order)
-        def poch(e):
-            return S.pochhammer_inf(e, 4 * g, order)
-        quot = (poch(2 * A + 3 * g) * poch(2 * B + 3 * g)) \
-            / (poch(2 * A + g) * poch(2 * B + g))
-        rhs = S.make_series([(Fraction(0), 1), (Fraction(B - A), -1)],
-                            order) * quot
-        return lhs, rhs.truncated(order)
+        n = S._whole_steps(order, 1)
+        mult = Counter({B - A: 1})
+        for start, k in ((2 * A + 3 * g, 1), (2 * B + 3 * g, 1),
+                         (2 * A + g, -1), (2 * B + g, -1)):
+            for e in range(start, n + 1, 4 * g):
+                mult[e] += k
+        return lhs, FormalSeries(1, 0, S._euler_product(mult, n))
     return build
 
 
@@ -307,10 +278,6 @@ def _tau_period_builder(spec: RQSpec):
     return build
 
 
-def _eta(order, prefactor, factors):
-    return eta_quotient_series(EtaQuotient.build(prefactor, factors), order)
-
-
 def identity_registry():
     """The built-in catalog of identities, in verification-ready form.
 
@@ -319,9 +286,13 @@ def identity_registry():
     order or the first failing exponent.
     """
     R = rq_series
-    fpow = f_minus_q_power
-    xpow = x_minus_q_power
+    eta = eta_quotient_series
     nag = normalized_agile_series
+    # f(-q) f(-q^10)^2 / (f(-q^2)^2 f(-q^5)), its inverse, and
+    # f(-q) f(-q^10) / (f(-q^2) f(-q^5))
+    ten = {1: 1, 2: -2, 5: -1, 10: 2}
+    ten_inv = {m: -e for m, e in ten.items()}
+    ten_sym = {1: 1, 2: -1, 5: -1, 10: 1}
     entries = []
 
     def add(id, status, denom, build, note=""):
@@ -351,51 +322,41 @@ def identity_registry():
 
     def b_agile_product_110(order):
         lhs = agile_series(1, 10, order) * agile_series(3, 10, order)
-        rhs = (fpow(1, order) * fpow(10, order)) \
-            / (fpow(2, order) * fpow(5, order))
-        return lhs.truncated(order), rhs.truncated(order)
+        return lhs.truncated(order), eta(0, ten_sym, order)
     add("agile-product-110", "proved", 1, b_agile_product_110)
 
     def b_eta_126(order):
         return (R(RQSpec(1, 2, 6), order),
-                _eta(order, Fraction(1, 4), {1: 1, 6: 2, 2: -2, 3: -1}))
+                eta(Fraction(1, 4), {1: 1, 6: 2, 2: -2, 3: -1}, order))
     add("eta-form-126", "proved", 4, b_eta_126)
 
     def b_eta_inv_y(order):
         lhs = _monomial(Fraction(1, 8), order) / R(RQSpec(1, 2, 4), order)
-        rhs = fpow(2, order) * xpow(2, order) ** 2 / fpow(1, order)
-        return lhs.truncated(order), rhs.truncated(order)
+        return lhs.truncated(order), eta(0, {1: -1, 2: 3, 4: -2}, order)
     add("eta-form-inv-124", "proved", 8, b_eta_inv_y,
         "reciprocal of the octic quantity as an eta and odd-product form")
 
     def b_eta_136(order):
-        rhs = _monomial(Fraction(1, 3), order) * fpow(1, order) \
-            * fpow(6, order) / (fpow(2, order) * fpow(3, order)
-                                * xpow(3, order) ** 2)
-        return R(RQSpec(1, 3, 6), order), rhs.truncated(order)
+        return (R(RQSpec(1, 3, 6), order),
+                eta(Fraction(1, 3), {1: 1, 2: -1, 3: -3, 6: 3}, order))
     add("eta-form-136", "proved", 3, b_eta_136,
         "cubic continued fraction as an eta and odd-product quotient")
 
     def b_eta_236(order):
-        rhs = _monomial(Fraction(1, 12), order) * fpow(2, order) \
-            / (fpow(6, order) * xpow(3, order) ** 2)
-        return R(RQSpec(2, 3, 6), order), rhs.truncated(order)
+        return (R(RQSpec(2, 3, 6), order),
+                eta(Fraction(1, 12), {2: 1, 3: -2, 6: 1}, order))
     add("eta-form-236", "proved", 12, b_eta_236)
-
-    def _ten_eta(order):
-        return (fpow(1, order) * fpow(10, order) ** 2) \
-            / (fpow(2, order) ** 2 * fpow(5, order))
 
     def b_sq_1210(order):
         v = R(RQSpec(1, 2, 5), order)
-        rhs = _monomial(Fraction(1, 2), order) * _ten_eta(order) * v
+        rhs = eta(Fraction(1, 2), ten, order) * v
         return R(RQSpec(1, 2, 10), order) ** 2, rhs.truncated(order)
     add("square-eta-1210", "proved", 10, b_sq_1210,
         "q^(1/2) prefactor restored; the bare eta form is off by it")
 
     def b_sq_1410(order):
         v = R(RQSpec(1, 2, 5), order)
-        rhs = _monomial(Fraction(1, 2), order) * _ten_eta(order) * v \
+        rhs = eta(Fraction(1, 2), ten, order) * v \
             * v.substitute_power(2) ** 2
         return R(RQSpec(1, 4, 10), order) ** 2, rhs.truncated(order)
     add("square-eta-1410", "proved", 10, b_sq_1410,
@@ -403,7 +364,7 @@ def identity_registry():
 
     def b_sq_2310(order):
         v = R(RQSpec(1, 2, 5), order)
-        rhs = (_monomial(Fraction(-1, 2), order) / _ten_eta(order)) * v \
+        rhs = eta(Fraction(-1, 2), ten_inv, order) * v \
             * v.substitute_power(2) ** 2
         return R(RQSpec(2, 3, 10), order) ** 2, rhs.truncated(order)
     add("square-eta-2310", "proved", 10, b_sq_2310,
@@ -411,26 +372,22 @@ def identity_registry():
 
     def b_sq_3410(order):
         v = R(RQSpec(1, 2, 5), order)
-        rhs = _monomial(Fraction(1, 2), order) * _ten_eta(order) / v
+        rhs = eta(Fraction(1, 2), ten, order) / v
         return R(RQSpec(3, 4, 10), order) ** 2, rhs.truncated(order)
     add("square-eta-3410", "proved", 20, b_sq_3410,
         "q^(1/2) prefactor restored")
 
     def b_agile_110_sq(order):
         v = R(RQSpec(1, 2, 5), order)
-        rhs = _monomial(Fraction(-3, 5), order) * v \
-            * v.substitute_power(2) * _ten_eta_sym(order)
+        rhs = eta(Fraction(-3, 5), ten_sym, order) * v \
+            * v.substitute_power(2)
         return agile_series(1, 10, order) ** 2, rhs.truncated(order)
-
-    def _ten_eta_sym(order):
-        return (fpow(1, order) * fpow(10, order)) \
-            / (fpow(2, order) * fpow(5, order))
     add("agile-110-squared", "proved", 5, b_agile_110_sq,
         "square of the radical form for the first decic agile")
 
     def b_agile_310_sq(order):
         v = R(RQSpec(1, 2, 5), order)
-        rhs = _monomial(Fraction(3, 5), order) * _ten_eta_sym(order) \
+        rhs = eta(Fraction(3, 5), ten_sym, order) \
             / (v * v.substitute_power(2))
         return agile_series(3, 10, order) ** 2, rhs.truncated(order)
     add("agile-310-squared", "proved", 5, b_agile_310_sq,
@@ -439,17 +396,14 @@ def identity_registry():
     def b_rr_recip(order):
         v = R(RQSpec(1, 2, 5), order)
         lhs = v.inverse() - S.constant(1, order) - v
-        rhs = fpow(Fraction(1, 5), order) \
-            / (_monomial(Fraction(1, 5), order) * fpow(5, order))
-        return lhs.truncated(order), rhs.truncated(order)
+        return (lhs.truncated(order),
+                eta(Fraction(-1, 5), {Fraction(1, 5): 1, 5: -1}, order))
     add("rr-reciprocal-sum", "proved", 5, b_rr_recip)
 
     def b_rr_recip5(order):
         v5 = R(RQSpec(1, 2, 5), order) ** 5
         lhs = v5.inverse() - S.constant(11, order) - v5
-        rhs = fpow(1, order) ** 6 / (_monomial(1, order)
-                                     * fpow(5, order) ** 6)
-        return lhs.truncated(order), rhs.truncated(order)
+        return lhs.truncated(order), eta(-1, {1: 6, 5: -6}, order)
     add("rr-reciprocal-sum-5th", "proved", 1, b_rr_recip5)
 
     def b_agile_modular_p5(order):
@@ -525,8 +479,7 @@ def identity_registry():
     def b_y_x_product(order):
         yq = R(RQSpec(1, 2, 4), order)
         lhs = (yq ** 16).inverse() - 16 * (yq ** 8).inverse()
-        rhs = _monomial(-2, order) * xpow(2, order) ** 24
-        return lhs.truncated(order), rhs.truncated(order)
+        return lhs.truncated(order), eta(-2, {2: 24, 4: -24}, order)
     add("octic-x-product", "conjectured", 2, b_y_x_product)
 
     def b_modular_p6(order):
@@ -540,8 +493,7 @@ def identity_registry():
         v = R(RQSpec(1, 3, 6), order)
         one = S.constant(1, order)
         lhs = (one - 8 * v ** 3) / (v ** 9 * (one + v ** 3))
-        rhs = _monomial(-3, order) * xpow(3, order) ** 24
-        return lhs.truncated(order), rhs.truncated(order)
+        return lhs.truncated(order), eta(-3, {3: 24, 6: -24}, order)
     add("cubic-x-product", "conjectured", 3, b_cubic_x_product)
 
     return entries

@@ -12,8 +12,10 @@ arithmetic (min rule for addition, product rule for multiplication).
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import floor, gcd, lcm
+from operator import sub
 from typing import Iterable, Sequence, Tuple, Union
 
 from ._backend import convolve, reciprocal
@@ -410,8 +412,7 @@ def pochhammer_inf(a_exp: RationalLike, p_exp: RationalLike,
     """(q^a; q^p)_infinity, exact to the last whole power of q <= ``order``.
 
     Only finitely many factors reach below any finite order, so the
-    truncated product is exact.  Each factor (1 - q^e) is one in-place
-    pass over a single coefficient list.
+    truncated product is exact.
     """
     a = _frac(a_exp)
     p = _frac(p_exp)
@@ -423,19 +424,31 @@ def pochhammer_inf(a_exp: RationalLike, p_exp: RationalLike,
 
 
 def _pochhammer_product(starts, p: Fraction, order) -> FormalSeries:
-    """prod over a in ``starts`` of (q^a; q^p)_inf, exact to floor(order).
-
-    One list of lattice coefficients is multiplied by each factor
-    (1 - q^e) in place, c_k <- c_k - c_(k-e), so no factor costs a
-    convolution and integer coefficients stay ``int``.
-    """
+    """prod over a in ``starts`` of (q^a; q^p)_inf, exact to floor(order)."""
     d = lcm(p.denominator, *(a.denominator for a in starts))
     n = _whole_steps(order, d)
+    mult = Counter(e for a in starts
+                   for e in range(int(a * d), n + 1, int(p * d)))
+    return FormalSeries(d, 0, _euler_product(mult, n))
+
+
+def _euler_product(mult, n: int) -> list:
+    """``int`` coefficients at 0..n of prod_e (1 - q^e)^mult[e].
+
+    Each factor is one in-place pass over a single coefficient list, so
+    no factor costs a convolution.  Multiplying by (1 - q^e) is the
+    descending pass c_k <- c_k - c_(k-e); dividing by it is the ascending
+    pass c_k <- c_k + c_(k-e), a running sum along each residue class.
+    """
     out = [1] + [0] * n
-    for a in starts:
-        for e in range(int(a * d), n + 1, int(p * d)):
-            out[e:] = [x - y for x, y in zip(out[e:], out)]
-    return FormalSeries(d, 0, out)
+    for e, k in mult.items():
+        for _ in range(k):
+            # the slice assignment consumes the map before it writes
+            out[e:] = map(sub, out[e:], out)
+        for _ in range(-k):
+            for i in range(e, n + 1):
+                out[i] += out[i - e]
+    return out
 
 
 def _whole_steps(order, d: int) -> int:

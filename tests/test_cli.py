@@ -58,6 +58,11 @@ class TestExitCodes:
         ["verify-identities", "--order", "0"],
         ["verify-identities", "--order", "-1"],
         ["mine", "--spec", "1,2,5", "--order", "0"],
+        ["check", "--case", "theta-coherence", "--spec", "1,2,5", "--r", "-1"],
+        ["check", "--case", "theta-coherence", "--spec", "1,2,5", "--r", "0"],
+        ["check", "--case", "root-of-unity", "--spec", "1,2,5", "--q", "-0.5"],
+        ["check", "--case", "root-of-unity", "--spec", "1,2,5", "--q", "0"],
+        ["check", "--case", "gg-value", "--r", "5"],
     ])
     def test_usage_error_bad_number(self, capsys, argv):
         # a usage error is reported, not raised as a traceback

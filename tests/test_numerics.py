@@ -109,7 +109,7 @@ class TestProductEvaluation:
         mp = ctx.mp
         q = mp.mpf("0.3")
         order = numerics.series_order_for(0.3, ctx)
-        f = quantities.f_minus_q_power(1, order)
+        f = quantities.eta_quotient_series(0, {1: 1}, order)
         assert abs(numerics.eval_series(f, q, ctx)
                    - mp.qp(q)) < mp.mpf(10) ** -36
 

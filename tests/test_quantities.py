@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rqwork import quantities as Q
 from rqwork import series as S
-from rqwork.characters import RQSpec, SpecError, TauTable
+from rqwork.characters import RQSpec, SpecError, TauTable, decompose_character
 
 # leading coefficients of the prefactor-free quotients, derived from the
 # infinite products by independent polynomial arithmetic
@@ -121,22 +121,43 @@ class TestLogDerivative:
 
 class TestEtaBuilders:
     def test_f_minus_q_is_pochhammer(self):
-        assert Q.f_minus_q_power(1, 80) == S.pochhammer_inf(1, 1, 80)
+        assert Q.eta_quotient_series(0, {1: 1}, 80) \
+            == S.pochhammer_inf(1, 1, 80)
 
     def test_quotient_builder(self):
-        eq = Q.EtaQuotient.build(Fraction(1, 5), {1: 1, 5: -1})
-        s = Q.eta_quotient_series(eq, 12)
+        s = Q.eta_quotient_series(Fraction(1, 5), {1: 1, 5: -1}, 12)
         direct = (S.make_series([(Fraction(1, 5), 1)], 12)
-                  * Q.f_minus_q_power(1, 12)
-                  * Q.f_minus_q_power(5, 12).inverse()).truncated(12)
+                  * S.pochhammer_inf(1, 1, 12)
+                  * S.pochhammer_inf(5, 5, 12).inverse()).truncated(12)
         assert s == direct
 
     def test_x_product(self):
         # X(-q) = prod (1 - q^(2n+1)) = f(-q)/f(-q^2)
-        lhs = Q.x_minus_q_power(1, 60)
-        rhs = (Q.f_minus_q_power(1, 60)
-               / Q.f_minus_q_power(2, 60)).truncated(60)
-        assert lhs == rhs
+        assert S.pochhammer_inf(1, 2, 60) \
+            == Q.eta_quotient_series(0, {1: 1, 2: -1}, 60)
+
+    def test_rq_is_eta_quotient_of_divisor_decomposition(self):
+        # chi = sum_d b_d [d | n] makes R = q^Q prod_d f(-q^d)^(b_d).  For
+        # 2a = p chi counts a once but the agile has it squared, and for
+        # a + b = p the residues of chi collide.
+        checked = negative_q = 0
+        for p in range(2, 25):
+            for a in range(1, p):
+                for b in range(a + 1, p):
+                    if p in (2 * a, 2 * b, a + b):
+                        continue
+                    spec = RQSpec(a, b, p)
+                    combo = decompose_character(spec, p)
+                    if combo is None:
+                        continue
+                    eta = Q.eta_quotient_series(spec.Q, combo.eta_exponents(),
+                                                60)
+                    r = Q.rq_series(spec, 60)
+                    known = min(eta.trunc, r.trunc)
+                    assert eta.truncated(known) == r.truncated(known), spec
+                    checked += 1
+                    negative_q += spec.Q < 0
+        assert (checked, negative_q) == (32, 16)
 
 
 class TestSignFlip:

@@ -378,6 +378,25 @@ def test_pochhammer_matches_plain_product(a, p, order):
     assert_plain(pochhammer_inf(a, p, order), plain_pochhammer(a, p, order))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.integers(min_value=1, max_value=8),
+                       st.integers(min_value=-3, max_value=3), max_size=5),
+       st.integers(min_value=0, max_value=24))
+def test_euler_product_matches_plain_product(mult, n):
+    want = plain([1] + [0] * n, 0)
+    for e, k in mult.items():
+        cs = [1] + [0] * max(n, e)
+        cs[e] = -1
+        factor = plain(cs, 0)
+        if k < 0:
+            factor = plain_inverse(factor)
+        for _ in range(abs(k)):
+            want = plain_mul(want, factor)
+    got = series._euler_product(mult, n)
+    assert got == [want[0].get(i, 0) for i in range(n + 1)]
+    assert all(type(c) is int for c in got)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(coeff_st, min_size=1, max_size=8),
        st.integers(min_value=1, max_value=12))
