@@ -322,5 +322,4 @@ def n_series(spec: RQSpec, order) -> FormalSeries:
     rel = order + Fraction(1, 6) + 1
     f4_inv = Qm.eta_quotient_series(0, {1: -4}, rel)
     m = Qm.m_series(spec, int(rel) + 1)
-    pre = S.make_series([(Fraction(-1, 6), 1)], order)
-    return (pre * (m * f4_inv)).truncated(order)
+    return (m * f4_inv).shifted(Fraction(-1, 6)).truncated(order)

@@ -20,7 +20,6 @@ from typing import List, Optional
 import mpmath
 
 from . import quantities as Qm
-from . import series as S
 from .characters import RQSpec
 from .modeq import n_series
 from .series import FormalSeries, _frac
@@ -172,9 +171,7 @@ def eval_series(series: FormalSeries, q, ctx: PrecisionContext):
 
 def series_derivative(series: FormalSeries) -> FormalSeries:
     """Exact d/dq: the theta-operator series shifted down one power."""
-    theta = series.q_derivative()
-    terms = [(e - 1, c) for e, c in theta.terms()]
-    return S.make_series(terms, theta.trunc - 1)
+    return series.q_derivative().shifted(-1)
 
 
 def series_order_for(q_mag, ctx: PrecisionContext) -> int:
@@ -337,15 +334,16 @@ def _converge_cf(partials, ctx: PrecisionContext):
 def _report(check_id, ctx, lhs, rhs, extra=None, tol=None, **fields):
     mp = ctx.mp
     abs_err = abs(lhs - rhs)
-    scale = max(abs(lhs), abs(rhs), mp.mpf(1))
     tol = tol if tol is not None else mp.mpf(10) ** (-(ctx.digits - 10))
+    # relative to the values' own size; a product, so 0 = 0 is confirmed
+    confirmed = abs_err <= tol * max(abs(lhs), abs(rhs))
     out = {
         "check_id": check_id,
         "digits": ctx.digits,
         "lhs": ctx.str_of(lhs),
         "rhs": ctx.str_of(rhs),
         "abs_err": ctx.str_of(abs_err),
-        "verdict": "confirmed" if abs_err / scale < tol else "refuted",
+        "verdict": "confirmed" if confirmed else "refuted",
     }
     out.update(fields)
     if extra:

@@ -38,8 +38,7 @@ def rq_series(spec: RQSpec, order) -> FormalSeries:
     order = _frac(order)
     if order <= spec.Q:
         raise SpecError(f"order {order} must exceed the prefactor {spec.Q}")
-    shift = S.make_series([(spec.Q, 1)], order)
-    return (shift * rq_star_series(spec, order)).truncated(order)
+    return rq_star_series(spec, order).shifted(spec.Q).truncated(order)
 
 
 def rq_star_series(spec: RQSpec, order) -> FormalSeries:
@@ -98,13 +97,8 @@ def product_over_X(spec: RQSpec, order: int) -> FormalSeries:
 
 def m_series(spec: RQSpec, order: int) -> FormalSeries:
     """M(q) = Q - sum tau(n) q^n, the logarithmic q-derivative of R."""
-    table = TauTable(spec).fill(int(order))
-    terms = [(Fraction(0), spec.Q)]
-    for n in range(1, int(order) + 1):
-        t = table.tau(n)
-        if t:
-            terms.append((Fraction(n), -t))
-    return S.make_series(terms, order)
+    tau = TauTable(spec).fill(int(order)).values
+    return FormalSeries(1, 0, [spec.Q] + [-t for t in tau[1:]])
 
 
 def eta_quotient_series(prefactor_exp, factors: Dict, order) -> FormalSeries:
@@ -119,6 +113,8 @@ def eta_quotient_series(prefactor_exp, factors: Dict, order) -> FormalSeries:
     factors = {_frac(m): int(e) for m, e in factors.items() if e}
     if any(m <= 0 for m in factors):
         raise S.SeriesError("eta quotient arguments must be positive")
+    if pre > order:
+        raise S.SeriesError("exponent beyond requested order")
     d = lcm(*(m.denominator for m in factors))
     n = ceil((order - pre) * d)
     g = gcd(*factors.values()) or 1
@@ -127,8 +123,7 @@ def eta_quotient_series(prefactor_exp, factors: Dict, order) -> FormalSeries:
         for k in range(int(m * d), n + 1, int(m * d)):
             mult[k] += e // g
     root = FormalSeries(d, 0, S._euler_product(mult, n))
-    shift = S.make_series([(pre, 1)], order)
-    return (shift * root ** g).truncated(order)
+    return (root ** g).shifted(pre).truncated(order)
 
 
 def normalize_rational_spec(spec: RQSpec):
@@ -162,11 +157,10 @@ def normalized_agile_series(a_exp, p_exp, order, power=1) -> FormalSeries:
     order = _frac(order)
     e = power * (p / 12 - a / 2 + a * a / (2 * p))
     rel = order - e
-    if rel <= 0:
-        rel = power  # degenerate request; one lattice period is enough
-    base = agile_series(a, p, rel / power).substitute_power(power)
-    pre = S.make_series([(e, 1)], order)
-    return (pre * base).truncated(order)
+    # rel = 0 needs one lattice period; rel < 0 puts the prefactor beyond
+    # the order, which agile_series refuses as an exponent beyond it
+    base = agile_series(a, p, (rel or power) / power).substitute_power(power)
+    return base.shifted(e).truncated(order)
 
 
 def at_minus_q(s: FormalSeries) -> FormalSeries:
@@ -177,18 +171,17 @@ def at_minus_q(s: FormalSeries) -> FormalSeries:
     reading of (-q)^Q and the one under which the even-doubling relations
     close.  Requires every exponent to sit an integer above the lead.
     """
-    terms = list(s.terms())
-    if not terms:
+    if s.is_zero:
         return s
-    lead = terms[0][0]
-    out = []
-    for e, c in terms:
-        k = e - lead
-        if k.denominator != 1:
+    d = s.denom
+    for i, c in enumerate(s.coeffs):
+        if c and i % d:
             raise S.SeriesError(
-                f"exponent {e} is not an integer offset from lead {lead}")
-        out.append((e, c if k.numerator % 2 == 0 else -c))
-    return S.make_series(out, s.trunc)
+                f"exponent {Fraction(s.lead + i, d)} is not an integer "
+                f"offset from lead {s.lead_exponent}")
+    out = list(s.coeffs)
+    out[d::2 * d] = [-c for c in out[d::2 * d]]
+    return FormalSeries(d, s.lead, out)
 
 
 def abs_leading(s: FormalSeries) -> FormalSeries:
@@ -237,10 +230,6 @@ class IdentityRecord:
         return report
 
 
-def _monomial(e, order):
-    return S.make_series([(_frac(e), 1)], order)
-
-
 def _cf_product_builder(A: int, B: int):
     """Both sides of the continued-fraction product expansion.
 
@@ -267,14 +256,10 @@ def _cf_product_builder(A: int, B: int):
 
 def _tau_period_builder(spec: RQSpec):
     def build(order):
-        n_max = int(order)
-        table = TauTable(spec).fill(int(spec.p) * n_max)
-        lhs = S.make_series(
-            [(n, table.tau(n)) for n in range(1, n_max + 1)], order)
-        rhs = S.make_series(
-            [(n, table.tau(int(spec.p) * n)) for n in range(1, n_max + 1)],
-            order)
-        return lhs, rhs
+        n, p = int(order), int(spec.p)
+        tau = TauTable(spec).fill(p * n).values
+        return (FormalSeries(1, 1, tau[1:n + 1]),
+                FormalSeries(1, 1, tau[p::p][:n]))
     return build
 
 
@@ -313,8 +298,8 @@ def identity_registry():
         "R(q)R(q^2) equals the (1,3,10) quantity")
 
     def b_agile_quotient_1310(order):
-        lhs = _monomial(Fraction(3, 5), order) * (
-            agile_series(1, 10, order) / agile_series(3, 10, order))
+        lhs = (agile_series(1, 10, order) / agile_series(3, 10, order)
+               ).shifted(Fraction(3, 5))
         v = R(RQSpec(1, 2, 5), order)
         return lhs.truncated(order), v * v.substitute_power(2)
     add("agile-quotient-1310", "proved", 5, b_agile_quotient_1310,
@@ -331,7 +316,7 @@ def identity_registry():
     add("eta-form-126", "proved", 4, b_eta_126)
 
     def b_eta_inv_y(order):
-        lhs = _monomial(Fraction(1, 8), order) / R(RQSpec(1, 2, 4), order)
+        lhs = R(RQSpec(1, 2, 4), order).shifted(Fraction(-1, 8)).inverse()
         return lhs.truncated(order), eta(0, {1: -1, 2: 3, 4: -2}, order)
     add("eta-form-inv-124", "proved", 8, b_eta_inv_y,
         "reciprocal of the octic quantity as an eta and odd-product form")

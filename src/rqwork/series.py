@@ -218,7 +218,7 @@ class FormalSeries:
         if self.is_zero:
             out = FormalSeries.__new__(FormalSeries)
             out.denom = denom
-            out.lead = (self.lead - 1) * m + m  # trunc scales exactly
+            out.lead = (self.lead - 1) * m + 1  # trunc scales exactly
             out.coeffs = ()
             return out
         n = (len(self.coeffs) - 1) * m + 1
@@ -341,6 +341,12 @@ class FormalSeries:
         for i, c in enumerate(self.coeffs):
             new[i * step] = c
         return FormalSeries(d, self.lead * step, new)
+
+    def shifted(self, e: RationalLike) -> "FormalSeries":
+        """Multiply by q^e exactly; the truncation moves with the terms."""
+        e = _frac(e)
+        s = self.rebased(lcm(self.denom, e.denominator))
+        return FormalSeries(s.denom, s.lead + int(e * s.denom), s.coeffs)
 
     def q_derivative(self) -> "FormalSeries":
         """The theta operator q*d/dq: c*q^e -> c*e*q^e."""

@@ -225,6 +225,15 @@ class TestChecks:
         rep = numerics.check_quartic_value(1, ctx)
         assert rep["verdict"] == "confirmed"
 
+    def test_report_error_is_relative(self, ctx):
+        # 20 of 40 digits agree: an error scale floored at 1 confirms it
+        lhs = ctx.mp.mpf("1.23456789012345678901e-30")
+        rhs = ctx.mp.mpf("1.23456789012345678902e-30")
+        zero = ctx.mp.mpf(0)
+        assert numerics._report("c", ctx, lhs, rhs)["verdict"] == "refuted"
+        assert numerics._report("c", ctx, lhs, lhs)["verdict"] == "confirmed"
+        assert numerics._report("c", ctx, zero, zero)["verdict"] == "confirmed"
+
 
 class TestRecognition:
     def test_rational(self, ctx):

@@ -131,6 +131,14 @@ class TestEtaBuilders:
                   * S.pochhammer_inf(5, 5, 12).inverse()).truncated(12)
         assert s == direct
 
+    def test_prefactor_beyond_order_raises(self):
+        with pytest.raises(S.SeriesError):
+            Q.eta_quotient_series(Fraction(1, 2), {1: 1, 2: -2, 5: -1, 10: 2},
+                                  Fraction(1, 3))
+        # the prefactor of [1,10;q] is q^(23/60)
+        with pytest.raises(S.SeriesError):
+            Q.normalized_agile_series(1, 10, Fraction(1, 3))
+
     def test_x_product(self):
         # X(-q) = prod (1 - q^(2n+1)) = f(-q)/f(-q^2)
         assert S.pochhammer_inf(1, 2, 60) \

@@ -338,8 +338,9 @@ def test_matches_plain_fraction_arithmetic(a, b, c, k, m):
     assert_plain(c * s, plain_scale(x, c))
     if c:
         assert_plain(s / c, plain_scale(x, 1 / c))
+    assert_plain(s.shifted(c), ({e + c: v for e, v in x[0].items()}, x[1] + c))
+    assert_plain(s.rebased(6), x)
     if x[0]:
-        assert_plain(s.rebased(6), x)
         assert_plain(s.substitute_power(m),
                      ({e * m: v for e, v in x[0].items()}, x[1] * m))
         assert_plain(s.inverse(), plain_inverse(x))
