@@ -197,9 +197,8 @@ def _verdict(poly: BivariatePolynomial, columns: dict, order) -> dict:
     integer combination of the polynomial's columns.
     """
     residual = reduce(add, (columns[ij] * c for ij, c in poly.terms))
-    for e, c in residual.terms():
-        if c and e <= order:
-            return {"verdict": "fails_at", "fails_at": str(e)}
+    if not residual.is_zero and residual.lead_exponent <= order:
+        return {"verdict": "fails_at", "fails_at": str(residual.lead_exponent)}
     return {"verdict": "holds_to_order",
             "order": str(min(residual.trunc, order))}
 

@@ -331,23 +331,24 @@ def _converge_cf(partials, ctx: PrecisionContext):
 # verification reports
 
 
-def _report(check_id, ctx, lhs, rhs, extra=None, tol=None, **fields):
-    mp = ctx.mp
-    abs_err = abs(lhs - rhs)
-    tol = tol if tol is not None else mp.mpf(10) ** (-(ctx.digits - 10))
+def _judge(ctx, lhs, rhs) -> str:
+    """The verdict on lhs = rhs: do they agree to all but ten digits?"""
+    tol = ctx.mp.mpf(10) ** (-(ctx.digits - 10))
     # relative to the values' own size; a product, so 0 = 0 is confirmed
-    confirmed = abs_err <= tol * max(abs(lhs), abs(rhs))
+    confirmed = abs(lhs - rhs) <= tol * max(abs(lhs), abs(rhs))
+    return "confirmed" if confirmed else "refuted"
+
+
+def _report(check_id, ctx, lhs, rhs, **fields):
     out = {
         "check_id": check_id,
         "digits": ctx.digits,
         "lhs": ctx.str_of(lhs),
         "rhs": ctx.str_of(rhs),
-        "abs_err": ctx.str_of(abs_err),
-        "verdict": "confirmed" if confirmed else "refuted",
+        "abs_err": ctx.str_of(abs(lhs - rhs)),
+        "verdict": _judge(ctx, lhs, rhs),
     }
     out.update(fields)
-    if extra:
-        out.update(extra)
     return out
 
 
@@ -416,7 +417,7 @@ def check_derivative_formulas(case: str, r, ctx: PrecisionContext) -> dict:
                       r="1", note="inner radical sign corrected to 5 + (7/2)sqrt(2)")
         rep["printed_rhs"] = ctx.str_of(printed * scale)
         rep["printed_abs_err"] = ctx.str_of(abs(lhs - printed * scale))
-        rep["printed_verdict"] = "refuted"
+        rep["printed_verdict"] = _judge(ctx, lhs, printed * scale)
         return rep
     raise NumericsError(f"unknown derivative case {case!r}")
 
@@ -497,9 +498,7 @@ def check_gg_value(ctx: PrecisionContext) -> dict:
     printed = mp.sqrt(4 - 2 * mp.sqrt(2)) - 1 - mp.sqrt(2)
     corrected = mp.sqrt(4 + 2 * mp.sqrt(2)) - 1 - mp.sqrt(2)
     rep["printed_radical"] = ctx.str_of(printed)
-    rep["printed_radical_verdict"] = (
-        "confirmed" if abs(value - printed) < mp.mpf(10) ** (-(ctx.digits - 10))
-        else "refuted")
+    rep["printed_radical_verdict"] = _judge(ctx, value, printed)
     rep["corrected_radical"] = ctx.str_of(corrected)
     rep["corrected_radical_abs_err"] = ctx.str_of(abs(value - corrected))
     return rep

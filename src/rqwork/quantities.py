@@ -186,10 +186,7 @@ def at_minus_q(s: FormalSeries) -> FormalSeries:
 
 def abs_leading(s: FormalSeries) -> FormalSeries:
     """Negate the whole series if its leading coefficient is negative."""
-    for _, c in s.terms():
-        if c:
-            return s if c > 0 else -1 * s
-    return s
+    return -s if not s.is_zero and s.coeffs[0] < 0 else s
 
 
 # --------------------------------------------------------------------------
@@ -203,30 +200,29 @@ class IdentityRecord:
     ``status`` is "proved" for identities with a known derivation and
     "conjectured" for empirical ones; ``lattice_denom`` is the natural
     denominator of the q-lattice the identity lives on, so a request for
-    N lattice steps is checked to exponent N/lattice_denom.
+    N lattice steps is checked at least to exponent N/lattice_denom.
     """
 
     id: str
     status: str
     lattice_denom: int
-    build: object  # callable order -> (lhs, rhs) FormalSeries pair
+    build: object  # callable order -> (lhs, rhs), uncut FormalSeries
     note: str = ""
 
     def verify(self, steps: int = 200) -> dict:
-        order = Fraction(steps, self.lattice_denom)
         # padding absorbs truncation erosion from high powers and shifts,
-        # so the full requested range really gets checked
-        lhs, rhs = self.build(order + 4)
-        diff = lhs + (-1) * rhs
+        # so the full requested range really gets checked; both sides are
+        # cut here, at the order they were built to, and in no builder
+        order = Fraction(steps, self.lattice_denom) + 4
+        lhs, rhs = (side.truncated(order) for side in self.build(order))
+        diff = lhs - rhs
         report = {"id": self.id, "status": self.status,
                   "requested_steps": steps}
-        for e, c in diff.terms():
-            if c:
-                report["first_failure_exponent"] = str(e)
-                return report
-        checked = min(lhs.trunc, rhs.trunc)
-        report["verified_order"] = str(checked)
-        report["verified_steps"] = int(checked * self.lattice_denom)
+        if not diff.is_zero:
+            report["first_failure_exponent"] = str(diff.lead_exponent)
+            return report
+        report["verified_order"] = str(diff.trunc)
+        report["verified_steps"] = int(diff.trunc * self.lattice_denom)
         return report
 
 
@@ -298,16 +294,15 @@ def identity_registry():
         "R(q)R(q^2) equals the (1,3,10) quantity")
 
     def b_agile_quotient_1310(order):
-        lhs = (agile_series(1, 10, order) / agile_series(3, 10, order)
-               ).shifted(Fraction(3, 5))
         v = R(RQSpec(1, 2, 5), order)
-        return lhs.truncated(order), v * v.substitute_power(2)
+        return ((agile_series(1, 10, order) / agile_series(3, 10, order)
+                 ).shifted(Fraction(3, 5)), v * v.substitute_power(2))
     add("agile-quotient-1310", "proved", 5, b_agile_quotient_1310,
         "prefactored agile quotient form of the same product")
 
     def b_agile_product_110(order):
-        lhs = agile_series(1, 10, order) * agile_series(3, 10, order)
-        return lhs.truncated(order), eta(0, ten_sym, order)
+        return (agile_series(1, 10, order) * agile_series(3, 10, order),
+                eta(0, ten_sym, order))
     add("agile-product-110", "proved", 1, b_agile_product_110)
 
     def b_eta_126(order):
@@ -316,8 +311,8 @@ def identity_registry():
     add("eta-form-126", "proved", 4, b_eta_126)
 
     def b_eta_inv_y(order):
-        lhs = R(RQSpec(1, 2, 4), order).shifted(Fraction(-1, 8)).inverse()
-        return lhs.truncated(order), eta(0, {1: -1, 2: 3, 4: -2}, order)
+        return (R(RQSpec(1, 2, 4), order).shifted(Fraction(-1, 8)).inverse(),
+                eta(0, {1: -1, 2: 3, 4: -2}, order))
     add("eta-form-inv-124", "proved", 8, b_eta_inv_y,
         "reciprocal of the octic quantity as an eta and odd-product form")
 
@@ -334,68 +329,67 @@ def identity_registry():
 
     def b_sq_1210(order):
         v = R(RQSpec(1, 2, 5), order)
-        rhs = eta(Fraction(1, 2), ten, order) * v
-        return R(RQSpec(1, 2, 10), order) ** 2, rhs.truncated(order)
+        return (R(RQSpec(1, 2, 10), order) ** 2,
+                eta(Fraction(1, 2), ten, order) * v)
     add("square-eta-1210", "proved", 10, b_sq_1210,
         "q^(1/2) prefactor restored; the bare eta form is off by it")
 
     def b_sq_1410(order):
         v = R(RQSpec(1, 2, 5), order)
-        rhs = eta(Fraction(1, 2), ten, order) * v \
-            * v.substitute_power(2) ** 2
-        return R(RQSpec(1, 4, 10), order) ** 2, rhs.truncated(order)
+        return (R(RQSpec(1, 4, 10), order) ** 2,
+                eta(Fraction(1, 2), ten, order) * v
+                * v.substitute_power(2) ** 2)
     add("square-eta-1410", "proved", 10, b_sq_1410,
         "q^(1/2) prefactor restored")
 
     def b_sq_2310(order):
         v = R(RQSpec(1, 2, 5), order)
-        rhs = eta(Fraction(-1, 2), ten_inv, order) * v \
-            * v.substitute_power(2) ** 2
-        return R(RQSpec(2, 3, 10), order) ** 2, rhs.truncated(order)
+        return (R(RQSpec(2, 3, 10), order) ** 2,
+                eta(Fraction(-1, 2), ten_inv, order) * v
+                * v.substitute_power(2) ** 2)
     add("square-eta-2310", "proved", 10, b_sq_2310,
         "q^(-1/2) prefactor restored")
 
     def b_sq_3410(order):
         v = R(RQSpec(1, 2, 5), order)
-        rhs = eta(Fraction(1, 2), ten, order) / v
-        return R(RQSpec(3, 4, 10), order) ** 2, rhs.truncated(order)
+        return (R(RQSpec(3, 4, 10), order) ** 2,
+                eta(Fraction(1, 2), ten, order) / v)
     add("square-eta-3410", "proved", 20, b_sq_3410,
         "q^(1/2) prefactor restored")
 
     def b_agile_110_sq(order):
         v = R(RQSpec(1, 2, 5), order)
-        rhs = eta(Fraction(-3, 5), ten_sym, order) * v \
-            * v.substitute_power(2)
-        return agile_series(1, 10, order) ** 2, rhs.truncated(order)
+        return (agile_series(1, 10, order) ** 2,
+                eta(Fraction(-3, 5), ten_sym, order) * v
+                * v.substitute_power(2))
     add("agile-110-squared", "proved", 5, b_agile_110_sq,
         "square of the radical form for the first decic agile")
 
     def b_agile_310_sq(order):
         v = R(RQSpec(1, 2, 5), order)
-        rhs = eta(Fraction(3, 5), ten_sym, order) \
-            / (v * v.substitute_power(2))
-        return agile_series(3, 10, order) ** 2, rhs.truncated(order)
+        return (agile_series(3, 10, order) ** 2,
+                eta(Fraction(3, 5), ten_sym, order)
+                / (v * v.substitute_power(2)))
     add("agile-310-squared", "proved", 5, b_agile_310_sq,
         "square of the radical form for the second decic agile")
 
     def b_rr_recip(order):
         v = R(RQSpec(1, 2, 5), order)
-        lhs = v.inverse() - S.constant(1, order) - v
-        return (lhs.truncated(order),
+        return (v.inverse() - S.constant(1, order) - v,
                 eta(Fraction(-1, 5), {Fraction(1, 5): 1, 5: -1}, order))
     add("rr-reciprocal-sum", "proved", 5, b_rr_recip)
 
     def b_rr_recip5(order):
         v5 = R(RQSpec(1, 2, 5), order) ** 5
-        lhs = v5.inverse() - S.constant(11, order) - v5
-        return lhs.truncated(order), eta(-1, {1: 6, 5: -6}, order)
+        return (v5.inverse() - S.constant(11, order) - v5,
+                eta(-1, {1: 6, 5: -6}, order))
     add("rr-reciprocal-sum-5th", "proved", 1, b_rr_recip5)
 
     def b_agile_modular_p5(order):
         x = nag(1, 5, order)
         y = nag(3, 5, order)
-        lhs = x ** 10 - y ** 10 + 11 * (x ** 5 * y ** 5) + x ** 11 * y ** 11
-        return lhs.truncated(order), S.zero(order)
+        return (x ** 10 - y ** 10 + 11 * (x ** 5 * y ** 5) + x ** 11 * y ** 11,
+                S.zero(order))
     add("agile-modular-p5", "proved", 60, b_agile_modular_p5,
         "normalized agiles; the fifth-power reciprocal sum in disguise")
 
@@ -403,87 +397,75 @@ def identity_registry():
     def b_poly_1310(order):
         u = R(RQSpec(1, 3, 10), order)
         v = R(RQSpec(1, 2, 5), order)
-        lhs = u ** 3 - u * v + u ** 2 * v ** 3 + v ** 4
-        return lhs.truncated(order), S.zero(order)
+        return u ** 3 - u * v + u ** 2 * v ** 3 + v ** 4, S.zero(order)
     add("poly-1310-rr", "conjectured", 5, b_poly_1310)
 
     def b_minus_q_poly(order):
         v = R(RQSpec(1, 2, 5), order)
         w = at_minus_q(v)  # |R(-q)|; the real branch has R(-q) = -w
         # phases (-1)^(k/5) read as real fifth roots: -1, +1, -1, +1
-        lhs = (-1 * v + w - (v ** 5 * w) + 5 * (v ** 4 * w ** 2)
-               - 10 * (v ** 3 * w ** 3) + 5 * (v ** 2 * w ** 4)
-               - v * w ** 5 - v ** 6 * w ** 5 + v ** 5 * w ** 6)
-        return lhs.truncated(order), S.zero(order)
+        return (-1 * v + w - (v ** 5 * w) + 5 * (v ** 4 * w ** 2)
+                - 10 * (v ** 3 * w ** 3) + 5 * (v ** 2 * w ** 4)
+                - v * w ** 5 - v ** 6 * w ** 5 + v ** 5 * w ** 6,
+                S.zero(order))
     add("rr-minus-q-poly", "conjectured", 5, b_minus_q_poly,
         "signed relation between R(q) and R(-q) under the real "
         "fifth-root branch, the reading under which it closes")
 
     def b_even_doubling_m(order):
         m = m_series(RQSpec(1, 3, 8), int(order))
-        lhs = 2 * m.substitute_power(2)
-        return lhs.truncated(order), (m + at_minus_q(m)).truncated(order)
+        return 2 * m.substitute_power(2), m + at_minus_q(m)
     add("m-even-doubling-138", "conjectured", 1, b_even_doubling_m,
         "doubling law for the log-derivative when a,b odd and p even")
 
     def b_even_doubling_r(order):
         h = R(RQSpec(1, 3, 8), order)
-        lhs = h * abs_leading(at_minus_q(h))
-        return (lhs.truncated(order),
-                h.substitute_power(2).truncated(order))
+        return h * abs_leading(at_minus_q(h)), h.substitute_power(2)
     add("r-even-doubling-138", "conjectured", 2, b_even_doubling_r)
 
     def b_even_doubling_1310(order):
         u = R(RQSpec(1, 3, 10), order)
-        lhs = u * abs_leading(at_minus_q(u))
-        return (lhs.truncated(order),
-                u.substitute_power(2).truncated(order))
+        return u * abs_leading(at_minus_q(u)), u.substitute_power(2)
     add("r-even-doubling-1310", "conjectured", 5, b_even_doubling_1310)
 
     def b_modular_p6_cubed(order):
         x = nag(1, 6, order, power=3)
         y = nag(3, 6, order)
-        lhs = 8 * x ** 9 - y ** 3 + x ** 12 * y ** 3 + x ** 3 * y ** 6
-        return lhs.truncated(order), S.zero(order)
+        return (8 * x ** 9 - y ** 3 + x ** 12 * y ** 3 + x ** 3 * y ** 6,
+                S.zero(order))
     add("agile-modular-p6-cubed", "conjectured", 12, b_modular_p6_cubed)
 
     def b_modular_p6_squared(order):
         x = nag(1, 6, order, power=2)
         y = nag(2, 6, order)
-        lhs = -9 * x ** 8 + y ** 4 + x ** 12 * y ** 4 - x ** 4 * y ** 8
-        return lhs.truncated(order), S.zero(order)
+        return (-9 * x ** 8 + y ** 4 + x ** 12 * y ** 4 - x ** 4 * y ** 8,
+                S.zero(order))
     add("agile-modular-p6-squared", "conjectured", 6, b_modular_p6_squared)
 
     def b_modular_p4(order):
         x = nag(1, 4, order)
         y = nag(2, 4, order)
-        lhs = 16 * x ** 8 + x ** 16 * y ** 4 - y ** 8
-        return lhs.truncated(order), S.zero(order)
+        return 16 * x ** 8 + x ** 16 * y ** 4 - y ** 8, S.zero(order)
     add("agile-modular-p4", "conjectured", 24, b_modular_p4)
 
     def b_y_x_product(order):
         yq = R(RQSpec(1, 2, 4), order)
-        lhs = (yq ** 16).inverse() - 16 * (yq ** 8).inverse()
-        return lhs.truncated(order), eta(-2, {2: 24, 4: -24}, order)
+        return ((yq ** 16).inverse() - 16 * (yq ** 8).inverse(),
+                eta(-2, {2: 24, 4: -24}, order))
     add("octic-x-product", "conjectured", 2, b_y_x_product)
 
     def b_modular_p6(order):
         x = nag(1, 6, order)
         y = nag(3, 6, order)
-        lhs = 8 * x ** 3 - y ** 3 + x ** 12 * y ** 3 + x ** 9 * y ** 6
-        return lhs.truncated(order), S.zero(order)
+        return (8 * x ** 3 - y ** 3 + x ** 12 * y ** 3 + x ** 9 * y ** 6,
+                S.zero(order))
     add("agile-modular-p6", "conjectured", 12, b_modular_p6)
 
     def b_cubic_x_product(order):
         v = R(RQSpec(1, 3, 6), order)
         one = S.constant(1, order)
-        lhs = (one - 8 * v ** 3) / (v ** 9 * (one + v ** 3))
-        return lhs.truncated(order), eta(-3, {3: 24, 6: -24}, order)
+        return ((one - 8 * v ** 3) / (v ** 9 * (one + v ** 3)),
+                eta(-3, {3: 24, 6: -24}, order))
     add("cubic-x-product", "conjectured", 3, b_cubic_x_product)
 
     return entries
-
-
-def verify_registry(steps: int = 200):
-    """Verify every catalog entry; returns the list of report dicts."""
-    return [record.verify(steps) for record in identity_registry()]

@@ -58,7 +58,8 @@ class FormalSeries:
     Exponent numerators run over ``lead .. lead+len(coeffs)-1``; every
     lattice exponent up to the truncation ``(lead+len(coeffs)-1)/denom``
     is known exactly (including known zeros).  The canonical zero series
-    has empty ``coeffs`` and ``lead = trunc_num + 1``.
+    has empty ``coeffs`` and ``lead = trunc_num + 1`` on the lattice of
+    its truncation's reduced denominator.
     """
 
     __slots__ = ("denom", "lead", "coeffs")
@@ -109,10 +110,9 @@ class FormalSeries:
         self.coeffs = tuple(new)
 
     def _reduce_zero(self):
-        trunc = self.lead - 1
-        if self.denom > 1:
-            self.lead = (trunc // self.denom) + 1
-            self.denom = 1
+        trunc = Fraction(self.lead - 1, self.denom)
+        self.denom = trunc.denominator
+        self.lead = trunc.numerator + 1
 
     # -- basic queries --------------------------------------------------
 
@@ -172,7 +172,7 @@ class FormalSeries:
         if diff.trunc < bound:
             raise TruncationError(
                 f"cannot compare to order {bound}: known only to {diff.trunc}")
-        return all(e > bound for e, _ in diff.terms())
+        return diff.is_zero or diff.lead_exponent > bound
 
     # -- rendering ------------------------------------------------------
 

@@ -154,6 +154,13 @@ def test_verify_relation_matches_plain_arithmetic(u, v, coeffs, related, k):
         assert verdict["verdict"] == "holds_to_order"
 
 
+def test_zero_residual_holds_to_fractional_order():
+    u = Q.rq_series(RQSpec(1, 2, 5), Fraction(31, 5))
+    poly = BivariatePolynomial.build({(1, 0): 1, (0, 1): -1})
+    verdict = verify_relation(poly, u, u, u.trunc)
+    assert verdict == {"verdict": "holds_to_order", "order": "31/5"}
+
+
 # the index-addressed mining rows against per-exponent coeff() lookups
 
 column_st = st.builds(

@@ -234,6 +234,12 @@ class TestChecks:
         assert numerics._report("c", ctx, lhs, lhs)["verdict"] == "confirmed"
         assert numerics._report("c", ctx, zero, zero)["verdict"] == "confirmed"
 
+    def test_judge_equal_and_differing_pairs(self, ctx):
+        x = ctx.mp.mpf("1.23456789012345678901e-30")
+        y = x * (1 + ctx.mp.mpf(10) ** -20)
+        assert numerics._judge(ctx, x, x) == "confirmed"
+        assert numerics._judge(ctx, x, y) == "refuted"
+
 
 class TestRecognition:
     def test_rational(self, ctx):

@@ -234,10 +234,15 @@ class TestRegistry:
             assert "first_failure_exponent" not in rep, rec.id
             assert rep["verified_steps"] >= 60, rec.id
 
-    def test_verify_registry_wrapper(self):
-        reports = Q.verify_registry(steps=40)
-        assert len(reports) == len(Q.identity_registry())
-        assert all(r["requested_steps"] == 40 for r in reports)
+    def test_sides_are_cut_at_the_checked_order(self):
+        # both sides are known, and differ, one step past the order they
+        # are built to; verify cuts them there, so the record holds
+        def build(order):
+            return (S.constant(1, order + 1),
+                    S.make_series([(0, 1), (order + 1, 1)], order + 1))
+        rep = Q.IdentityRecord("cut", "proved", 1, build).verify(steps=20)
+        assert "first_failure_exponent" not in rep, rep
+        assert rep["verified_steps"] >= 20
 
     def test_failure_is_reported_not_raised(self):
         bad = Q.IdentityRecord(

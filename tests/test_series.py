@@ -176,6 +176,12 @@ class TestStructureOps:
         assert a.agrees_with(b, 4)
         assert not a.agrees_with(b, 5)
 
+    def test_zero_keeps_fractional_truncation(self):
+        a = make_series([(Fraction(1, 3), 1), (Fraction(2, 3), 2)],
+                        Fraction(7, 3))
+        assert (a - a).trunc == Fraction(7, 3)
+        assert a.agrees_with(a, Fraction(7, 3))
+
 
 class TestPochhammer:
     def test_euler_function_pentagonal(self):
@@ -311,6 +317,8 @@ def assert_plain(got, want):
     terms, trunc = want
     # the best truncation on the result's own lattice
     assert got.trunc == Fraction(floor(trunc * got.denom), got.denom)
+    # the verdicts read a residual's first nonzero term at its lead
+    assert got.is_zero or got.coeffs[0] != 0
     assert dict(got.terms()) == {e: c for e, c in terms.items()
                                  if e <= got.trunc}
     for c in got.coeffs:
