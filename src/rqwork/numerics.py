@@ -14,7 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, chain, islice, repeat
 from math import ceil, log
+from operator import mul
 from typing import List, Optional
 
 import mpmath
@@ -129,24 +131,30 @@ def singular_modulus(r, ctx: PrecisionContext) -> EllipticData:
 def eval_agile(a_exp, p_exp, q, ctx: PrecisionContext):
     """The product (q^a; q^p)(q^(p-a); q^p) with a geometric tail cutoff.
 
-    Works for complex q with |q| < 1; the tail is cut once both current
-    factors are within tail_tolerance of 1, which bounds the dropped
-    part by a geometric series at the same scale.
+    Works for complex q with |q| < 1.  q^a, q^(p-a) and q^p are the only
+    fractional powers taken; each later factor's power is the previous
+    one times q^p, which for complex q stays on the principal branch,
+    since (q^p)^n = exp(n p log q).  The tail is cut once both current
+    powers are below tail_tolerance, which bounds the dropped part by a
+    geometric series at the same scale.
     """
     mp = ctx.mp
-    a = _to_mpf(mp, a_exp)
-    p = _to_mpf(mp, p_exp)
     if abs(q) >= 1:
         raise NumericsError("need |q| < 1")
-    prod = mp.mpf(1) * (1 + 0 * q)  # promotes to mpc when q is complex
+    a, p = _frac(a_exp), _frac(p_exp)
+    u, v, step = (q ** _to_mpf(mp, e) for e in (a, p - a, p))
+    # both powers shrink by |q^p| per factor; the larger one decides the cut
+    size, shrink = max(abs(u), abs(v)), abs(step)
     tol = ctx.tail_tolerance
+    prod = mp.one
     n = 0
     while True:
-        t1 = 1 - q ** (a + n * p)
-        t2 = 1 - q ** (p - a + n * p)
-        prod *= t1 * t2
-        if abs(t1 - 1) < tol and abs(t2 - 1) < tol:
+        prod *= (1 - u) * (1 - v)
+        if size < tol:
             return prod
+        u *= step
+        v *= step
+        size *= shrink
         n += 1
         if n > 10 ** 7:
             raise NumericsError("agile product failed to converge")
@@ -161,12 +169,31 @@ def eval_rq(spec: RQSpec, q, ctx: PrecisionContext):
 
 
 def eval_series(series: FormalSeries, q, ctx: PrecisionContext):
-    """Evaluate an exact truncated series at a numeric point."""
+    """Evaluate an exact truncated series at a numeric point.
+
+    Horner's rule in x = q^(1/denom) from the top coefficient down, over
+    the nonzero coefficients only: x^g is taken once for each gap g
+    between neighbours, then the sum is scaled by q^(lead/denom).
+    """
     mp = ctx.mp
-    total = mp.mpf(0) * (1 + 0 * q)
-    for e, c in series.terms():
-        total += _to_mpf(mp, c) * q ** _to_mpf(mp, e)
-    return total
+    if series.is_zero:
+        return 0 * q
+    x = q ** _to_mpf(mp, Fraction(1, series.denom))
+    gap_powers = {}
+    acc = mp.zero
+    gap = 0
+    for c in reversed(series.coeffs):
+        if c:
+            if gap:
+                xg = gap_powers.get(gap)
+                if xg is None:
+                    xg = gap_powers[gap] = x ** gap
+                acc *= xg
+            acc += c if type(c) is int else _to_mpf(mp, c)
+            gap = 0
+        gap += 1
+    # coeffs[0] is nonzero, so the last gap closed at the lead
+    return acc * q ** _to_mpf(mp, series.lead_exponent)
 
 
 def series_derivative(series: FormalSeries) -> FormalSeries:
@@ -180,12 +207,12 @@ def series_order_for(q_mag, ctx: PrecisionContext) -> int:
     return int(ceil(need)) + 10
 
 
-def eval_theta4(y, q, ctx: PrecisionContext, form: str = "series"):
+def eval_theta4(y, q, ctx: PrecisionContext):
     """theta_4 at the purely imaginary argument iy, nome q.
 
-    ``series`` sums 1 + 2 sum (-1)^n q^(n^2) cosh(2ny); ``product`` uses
-    the triple-product factorization.  The two agree to working
-    precision and serve as cross-checks of each other.
+    Sums 1 + 2 sum (-1)^n q^(n^2) cosh(2ny) with every factor by
+    recurrence: q^((n+1)^2) = q^(n^2) q^(2n+1), and
+    cosh(2(n+1)y) = 2 cosh(2y) cosh(2ny) - cosh(2(n-1)y).
     """
     mp = ctx.mp
     y = mp.mpf(y)
@@ -193,29 +220,25 @@ def eval_theta4(y, q, ctx: PrecisionContext, form: str = "series"):
     if not 0 <= q < 1:
         raise NumericsError("need 0 <= q < 1")
     tol = ctx.tail_tolerance
-    if form == "series":
-        total = mp.mpf(1)
-        n = 1
-        while True:
-            term = 2 * (-1) ** n * q ** (n * n) * mp.cosh(2 * n * y)
-            total += term
-            if abs(term) < tol and q ** (n * n) < tol:
-                return total
-            n += 1
-            if n > 10 ** 6:
-                raise NumericsError("theta series outside convergence regime")
-    if form == "product":
-        prod = mp.mpf(1)
-        n = 1
-        ch = mp.cosh(2 * y)
-        while True:
-            t = (1 - q ** (2 * n)) * (1 - 2 * q ** (2 * n - 1) * ch
-                                      + q ** (4 * n - 2))
-            prod *= t
-            if abs(t - 1) < tol:
-                return prod
-            n += 1
-    raise NumericsError(f"unknown theta form {form!r}")
+    q2 = q * q
+    odd = square = q  # q^(2n-1) and q^(n^2) at n = 1
+    ch_prev, ch = mp.one, mp.cosh(2 * y)  # cosh(2(n-1)y) and cosh(2ny)
+    twice_ch1 = 2 * ch
+    sign = -2  # 2 (-1)^n
+    total = mp.one
+    n = 1
+    while True:
+        term = sign * square * ch
+        total += term
+        if abs(term) < tol and square < tol:
+            return total
+        n += 1
+        if n > 10 ** 6:
+            raise NumericsError("theta series outside convergence regime")
+        odd *= q2
+        square *= odd
+        ch_prev, ch = ch, twice_ch1 * ch - ch_prev
+        sign = -sign
 
 
 def theta_form_rq(spec: RQSpec, x, ctx: PrecisionContext):
@@ -236,20 +259,24 @@ def theta_form_rq(spec: RQSpec, x, ctx: PrecisionContext):
 # continued fractions
 
 
-def _cf_backward(partials, depth):
-    """Evaluate b0 + a1/(b1 + a2/(b2 + ...)) by backward recurrence.
+def _running(first, ratio):
+    """first, first*ratio, first*ratio^2, ...: one multiplication each."""
+    return accumulate(repeat(ratio), mul, initial=first)
 
-    ``partials(n)`` returns (a_n, b_n) for n >= 1; b0 is supplied by the
-    caller as partials(0)[1].
+
+def _cf_backward(terms, depth):
+    """Evaluate b0 + a1/(b1 + a2/(b2 + ...)) to ``depth`` by backward recurrence.
+
+    ``terms[n]`` is (a_n, b_n); a_0 is unused.
     """
     tail = 0
     for n in range(depth, 0, -1):
-        a_n, b_n = partials(n)
+        a_n, b_n = terms[n]
         den = b_n + tail
         if den == 0:
             raise NumericsError(f"zero denominator at depth {n}")
         tail = a_n / den
-    return partials(0)[1] + tail
+    return terms[0][1] + tail
 
 
 def eval_cf(kind: str, params, q, ctx: PrecisionContext):
@@ -259,68 +286,62 @@ def eval_cf(kind: str, params, q, ctx: PrecisionContext):
     ``rgg``, ``general_P`` (params = (a, b)), and ``theorem_quotient``
     (params = (A, B)), which is (1-q^(B-A)) P(q^A, q^B; q^(A+B)) and
     equals the (2A+3g, 2B+g, 4g) quantity without its q-prefactor,
-    g = A+B.
+    g = A+B.  The powers of q in the partial quotients are running
+    products.
     """
     mp = ctx.mp
     q = mp.mpf(q)
     if not 0 < q < 1:
         raise NumericsError("need 0 < q < 1")
+    one = mp.one
 
     if kind == "rr":
-        def partials(n):
-            return (q ** n, mp.mpf(1))
-        pre = q ** (mp.mpf(1) / 5)
+        pre = q ** (one / 5)
+        partials = ((u, one) for u in _running(q, q))
+        b0 = one
     elif kind == "cubic":
-        def partials(n):
-            return (q ** n + q ** (2 * n), mp.mpf(1))
-        pre = q ** (mp.mpf(1) / 3)
+        pre = q ** (one / 3)
+        partials = ((u + u * u, one) for u in _running(q, q))
+        b0 = one
     elif kind == "rgg":
-        def partials(n):
-            if n == 0:
-                return (None, 1 + q)
-            return (q ** (2 * n), 1 + q ** (2 * n + 1))
-        pre = q ** (mp.mpf(1) / 2)
+        pre = mp.sqrt(q)
+        q2 = q * q
+        partials = ((s, 1 + s * q) for s in _running(q2, q2))
+        b0 = 1 + q
     elif kind == "general_P":
         a, b = (mp.mpf(x) for x in params)
         return _eval_cf_P(a, b, q, ctx)
     elif kind == "theorem_quotient":
-        A, B = params
-        A = _to_mpf(mp, A)
-        B = _to_mpf(mp, B)
-        return (1 - q ** (B - A)) * _eval_cf_P(q ** A, q ** B, q ** (A + B), ctx)
+        qa, qb = (q ** _to_mpf(mp, e) for e in params)
+        return (1 - qb / qa) * _eval_cf_P(qa, qb, qa * qb, ctx)
     else:
         raise NumericsError(f"unknown continued fraction kind {kind!r}")
-
-    if kind == "rgg":
-        base = partials
-    else:
-        def base(n):
-            if n == 0:
-                return (None, mp.mpf(1))
-            return partials(n)
-    return pre / _converge_cf(base, ctx)
+    return pre / _converge_cf(chain([(None, b0)], partials), ctx)
 
 
 def _eval_cf_P(a, b, q, ctx: PrecisionContext):
-    mp = ctx.mp
-
-    def partials(n):
-        if n == 0:
-            return (None, 1 - a * b)
-        w = q ** (2 * n - 1)
-        return ((a - b * w) * (b - a * w), (1 - a * b) * (q ** (2 * n) + 1))
-
-    return 1 / _converge_cf(partials, ctx)
+    c = 1 - a * b
+    # w = q^(2n-1) at depth n
+    partials = (((a - b * w) * (b - a * w), c * (w * q + 1))
+                for w in _running(q, q * q))
+    return 1 / _converge_cf(chain([(None, c)], partials), ctx)
 
 
 def _converge_cf(partials, ctx: PrecisionContext):
+    """The continued fraction of ``partials`` at doubling depths from 16.
+
+    ``partials`` yields (a_n, b_n) for n = 0, 1, 2, ...; the terms are
+    kept, so each is computed once however often the depth doubles.
+    """
     mp = ctx.mp
     tol = mp.mpf(10) ** (-(ctx.digits + ctx.guard - 2))
     depth = 16
-    prev = _cf_backward(partials, depth)
+    terms = list(islice(partials, depth + 1))
+    prev = _cf_backward(terms, depth)
     while depth < (1 << 22):
         depth *= 2
-        cur = _cf_backward(partials, depth)
+        terms += islice(partials, depth + 1 - len(terms))
+        cur = _cf_backward(terms, depth)
         if abs(cur - prev) < tol:
             return cur
         prev = cur
@@ -432,12 +453,12 @@ def check_root_of_unity_product(spec: RQSpec, q, ctx: PrecisionContext) -> dict:
     mp = ctx.mp
     a, b, p = spec.as_ints()
     q = mp.mpf(q)
-    Qf = _to_mpf(mp, spec.Q)
+    pre = q ** _to_mpf(mp, spec.Q)
     lhs = eval_rq(spec, q ** p, ctx)
     rhs = mp.mpc(1)
     for m in range(p):
         qc = q * mp.exp(2j * mp.pi * m / p)
-        rhs *= q ** Qf * eval_agile(spec.a, spec.p, qc, ctx) \
+        rhs *= pre * eval_agile(spec.a, spec.p, qc, ctx) \
             / eval_agile(spec.b, spec.p, qc, ctx)
     return _report("root-of-unity-product", ctx, lhs, rhs,
                    spec=str(spec), q=ctx.str_of(q))

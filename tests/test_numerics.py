@@ -7,6 +7,7 @@ import pytest
 
 from rqwork import numerics, quantities
 from rqwork.characters import RQSpec
+from rqwork.modeq import n_series
 from rqwork.numerics import NumericsError, context
 
 
@@ -136,14 +137,134 @@ class TestProductEvaluation:
         assert abs(numerics.eval_series(d, q, ctx) - fd) < mp.mpf(10) ** -10
 
 
+def _per_term(series, q, mp):
+    """The series at q as a plain sum of c q^e, one power per term."""
+    return mp.fsum(mp.mpf(c.numerator) / c.denominator
+                   * q ** (mp.mpf(e.numerator) / e.denominator)
+                   for e, c in ((e, Fraction(c)) for e, c in series.terms()))
+
+
+def _qp_agile(a, p, q, mp):
+    """(q^a; q^p)(q^(p-a); q^p) by mpmath.qp, for rational a and p."""
+    a, p = Fraction(a), Fraction(p)
+
+    def power(e):
+        return q ** (mp.mpf(e.numerator) / e.denominator)
+
+    return mp.qp(power(a), power(p)) * mp.qp(power(p - a), power(p))
+
+
+class TestRunningPowers:
+    """The running-product evaluators against one power per term."""
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda n: quantities.rq_series(RQSpec(1, 2, 5), n),
+                     id="lattice-5"),
+        pytest.param(lambda n: quantities.rq_series(RQSpec(1, 3, 8), n)
+                     .shifted(Fraction(1, 7)), id="lattice-56"),
+        pytest.param(lambda n: n_series(RQSpec(1, 2, 5), n),
+                     id="negative-lead"),
+        pytest.param(lambda n: numerics.series_derivative(
+            quantities.rq_series(RQSpec(1, 3, 7), n)), id="fractions"),
+    ])
+    @pytest.mark.parametrize("q", ["0.05", "0.3", "0.7"])
+    def test_series_horner_matches_per_term_sum(self, ctx, build, q):
+        mp = ctx.mp
+        q = mp.mpf(q)
+        s = build(60)
+        want = _per_term(s, q, mp)
+        got = numerics.eval_series(s, q, ctx)
+        assert abs(got - want) <= abs(want) * mp.mpf(10) ** -38
+
+    def test_zero_series(self, ctx):
+        mp = ctx.mp
+        zero = quantities.rq_series(RQSpec(1, 2, 5), 10) \
+            - quantities.rq_series(RQSpec(1, 2, 5), 10)
+        assert zero.is_zero
+        assert numerics.eval_series(zero, mp.mpf("0.3"), ctx) == 0
+
+    def test_series_at_complex_point(self, ctx):
+        mp = ctx.mp
+        s = quantities.rq_series(RQSpec(1, 2, 5), 60)
+        q = mp.mpf("0.3") * mp.exp(2j * mp.pi * 3 / 5)
+        want = _per_term(s, q, mp)
+        assert abs(numerics.eval_series(s, q, ctx) - want) \
+            <= abs(want) * mp.mpf(10) ** -38
+
+    @pytest.mark.parametrize("a,p", [(1, 5), (2, 7), (Fraction(1, 3), 2),
+                                     (Fraction(3, 4), Fraction(5, 2))])
+    @pytest.mark.parametrize("q", ["0.1", "0.6"])
+    def test_agile_matches_qp(self, ctx, a, p, q):
+        mp = ctx.mp
+        q = mp.mpf(q)
+        want = _qp_agile(a, p, q, mp)
+        got = numerics.eval_agile(a, p, q, ctx)
+        assert abs(got - want) <= abs(want) * mp.mpf(10) ** -38
+
+    @pytest.mark.parametrize("a,p", [(1, 5), (Fraction(1, 3), 2)])
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_agile_on_root_of_unity(self, ctx, a, p, m):
+        # q^a, q^(p-a) and q^p on the principal branch, as mpmath takes them
+        mp = ctx.mp
+        q = mp.mpf("0.4") * mp.exp(2j * mp.pi * m / 5)
+        want = _qp_agile(a, p, q, mp)
+        got = numerics.eval_agile(a, p, q, ctx)
+        assert abs(got - want) <= abs(want) * mp.mpf(10) ** -38
+
+    @pytest.mark.parametrize("q", ["0.05", "0.3", "0.6"])
+    def test_every_cf_kind_against_eval_rq(self, ctx, q):
+        mp = ctx.mp
+        q = mp.mpf(q)
+
+        def bare(abp):
+            # R without its prefactor q^Q
+            spec = RQSpec(*abp)
+            return numerics.eval_rq(spec, q, ctx) \
+                / q ** (mp.mpf(spec.Q.numerator) / spec.Q.denominator)
+
+        A, B = 1, 2
+        quotient = bare((2 * A + 3 * (A + B), 2 * B + (A + B), 4 * (A + B)))
+        cases = [
+            (numerics.eval_cf("rr", None, q, ctx),
+             numerics.eval_rq(RQSpec(1, 2, 5), q, ctx)),
+            (numerics.eval_cf("cubic", None, q, ctx),
+             numerics.eval_rq(RQSpec(1, 3, 6), q, ctx)),
+            (numerics.eval_cf("rgg", None, q, ctx),
+             numerics.eval_rq(RQSpec(1, 3, 8), q, ctx)),
+            (numerics.eval_cf("theorem_quotient", (A, B), q, ctx), quotient),
+            ((1 - q ** (B - A)) * numerics.eval_cf(
+                "general_P", (q ** A, q ** B), q ** (A + B), ctx), quotient),
+        ]
+        for got, want in cases:
+            assert abs(got - want) <= abs(want) * mp.mpf(10) ** -36
+
+    @pytest.mark.parametrize("r", [Fraction(1, 100), Fraction(1, 1000)])
+    @pytest.mark.parametrize("abp", [(1, 2, 5), (1, 3, 8), (2, 5, 12)])
+    def test_near_unit_nome_keeps_the_guard(self, r, abp):
+        # thousands of running products near q = 1 must not eat into the
+        # reported digits: relative error below 10^-digits against qp
+        digits = 50
+        c = context(digits)
+        wide = mpmath.mp.clone()
+        wide.dps = 160
+        spec = RQSpec(*abp)
+        got = numerics.eval_rq(spec, numerics.nome(r, c), c)
+        q = wide.exp(-wide.pi * wide.sqrt(wide.mpf(r.numerator) / r.denominator))
+        Q = spec.Q
+        want = q ** (wide.mpf(Q.numerator) / Q.denominator) \
+            * _qp_agile(spec.a, spec.p, q, wide) \
+            / _qp_agile(spec.b, spec.p, q, wide)
+        assert abs(wide.mpf(got) - want) < abs(want) * wide.mpf(10) ** -digits
+
+
 class TestTheta:
-    def test_series_equals_product_form(self, ctx):
+    def test_series_matches_jtheta(self, ctx):
         mp = ctx.mp
         q = mp.mpf("0.2")
         for y in ("0.0", "0.3", "1.1"):
             y = mp.mpf(y)
-            a = numerics.eval_theta4(y, q, ctx, form="series")
-            b = numerics.eval_theta4(y, q, ctx, form="product")
+            a = numerics.eval_theta4(y, q, ctx)
+            b = mp.jtheta(4, mp.mpc(0, y), q)
             assert abs(a - b) < mp.mpf(10) ** -38
 
     def test_theta_form_matches_product_form(self, ctx):
