@@ -1,31 +1,93 @@
 """Inner loops for series and matrix arithmetic.
 
-All functions operate on plain lists of exact numbers (``int`` or
-``fractions.Fraction``) and never introduce floats.
+All functions operate on sequences (lists or tuples) of exact numbers
+(``int`` or ``fractions.Fraction``) and never introduce floats.
+
+``convolve`` and ``reciprocal`` share one multiply path, chosen from the
+operands alone:
+
+1. Common stride: when every nonzero index of both operands is a multiple
+   of some s > 1, the kernel runs on every s-th coefficient and spreads
+   the result back.
+2. Sparse schoolbook: the outer loop runs over the nonzero terms of the
+   operand with fewer of them; ``reciprocal`` reads only the nonzero
+   terms of its divisor.
+3. Kronecker substitution: when both factors are all ``int`` and the
+   sparser one has at least ``KRONECKER_MIN_TERMS`` nonzero terms, each
+   factor is packed into one ``int`` and multiplied once by CPython's
+   bigint product (Brent & Zimmermann, *Modern Computer Arithmetic*,
+   section 1.3).
 """
 
 from fractions import Fraction
+from itertools import compress, repeat
+from math import gcd
+from operator import add, mul
 
 # perfbench/run.py records this name in every run record
 BACKEND = "python"
 
+# Fewest nonzero terms in the sparser factor for the Kronecker product;
+# dense signed lists break even at 16-24 terms (BENCH_multiply.json).
+KRONECKER_MIN_TERMS = 24
+
 
 def convolve(a, b, n):
     """First ``n`` coefficients of the product of coefficient lists a, b."""
-    if len(a) > len(b):
-        a, b = b, a
+    a, b = a[:n], b[:n]
+    ia = list(compress(range(len(a)), a))
+    ib = list(compress(range(len(b)), b))
+    if not ia or not ib:
+        return [0] * n
+    s = gcd(*ia, *ib)
+    if s < 2:
+        return _product(a, b, n)
     out = [0] * n
-    for i, ai in enumerate(a):
-        if i >= n:
-            break
-        if not ai:
-            continue
-        m = min(n - i, len(b))
-        for j in range(m):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
+    out[::s] = _product(a[::s], b[::s], len(range(0, n, s)))
     return out
+
+
+def _product(a, b, n):
+    """First ``n`` coefficients of a*b, both nonzero and at most n long."""
+    na, nb = len(a) - a.count(0), len(b) - b.count(0)
+    if na > nb:
+        a, b, na = b, a, nb
+    if na >= KRONECKER_MIN_TERMS and all(
+            type(c) is int for x in (a, b) for c in x):
+        return _kronecker(a, b, na, n)
+    out = [0] * n
+    for i in compress(range(len(a)), a):
+        m = min(n - i, len(b))
+        out[i:i + m] = map(add, out[i:i + m], map(mul, repeat(a[i], m), b))
+    return out
+
+
+def _kronecker(a, b, terms, n):
+    """First ``n`` coefficients of a*b for ``int`` lists, by one product.
+
+    Every coefficient of a*b is a sum of at most ``terms`` products, so
+    its magnitude is below ``2**(w - 1)`` for the field width ``w`` below.
+    Each list is packed as the integer sum x_i * 2**(w*i), evaluated with
+    signed fields, and the product's fields are read back after a bias of
+    ``2**(w - 1)`` per field has made every one of them nonnegative.
+    """
+    bound = max(map(abs, a)) * max(map(abs, b)) * terms
+    k = (bound.bit_length() + 8) // 8   # bytes per field, sign bit included
+    half = 1 << (8 * k - 1)
+    c = _pack(a, k) * _pack(b, k)
+    bias = int.from_bytes((half.to_bytes(k, "little")) * n, "little")
+    raw = ((c + bias) & ((1 << (8 * k * n)) - 1)).to_bytes(k * n, "little")
+    return [int.from_bytes(raw[i:i + k], "little") - half
+            for i in range(0, k * n, k)]
+
+
+def _pack(x, k):
+    """sum x_i * 2**(8*k*i) for ints with |x_i| < 2**(8*k - 1)."""
+    u = int.from_bytes(
+        b"".join([c.to_bytes(k, "little", signed=True) for c in x]), "little")
+    # a negative x_i was stored as x_i + 2**(8k): take one off field i + 1
+    low = int.from_bytes((b"\x01" + bytes(k - 1)) * len(x), "little")
+    return u - (((u >> (8 * k - 1)) & low) << (8 * k))
 
 
 def reciprocal(b, n):
@@ -35,16 +97,20 @@ def reciprocal(b, n):
     """
     b0 = b[0]
     inv0 = b0 if b0 in (1, -1) else Fraction(1, b0)
-    out = [inv0]
-    lb = len(b)
-    for k in range(1, n):
-        s = 0
-        m = min(k, lb - 1)
-        for i in range(1, m + 1):
-            bi = b[i]
-            if bi:
-                s += bi * out[k - i]
-        out.append(-s * inv0)
+    ib = list(compress(range(1, min(n, len(b))), b[1:n]))
+    s = gcd(*ib) or 1
+    # B(q) = C(q^s): only the nonzero terms of C past C(0) are read
+    terms = [(i // s, b[i]) for i in ib]
+    inv = [inv0]
+    for k in range(1, len(range(0, n, s))):
+        t = 0
+        for i, bi in terms:
+            if i > k:
+                break
+            t += bi * inv[k - i]
+        inv.append(-t * inv0)
+    out = [0 * inv0] * n   # zeros of the same type as the terms
+    out[::s] = inv
     return out
 
 

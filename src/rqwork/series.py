@@ -165,15 +165,6 @@ class FormalSeries:
     def __hash__(self):
         return hash((self.denom, self.lead, tuple(self.coeffs)))
 
-    def agrees_with(self, other: "FormalSeries", order: RationalLike) -> bool:
-        """True if self-other vanishes at every exponent <= order."""
-        diff = self - other
-        bound = _frac(order)
-        if diff.trunc < bound:
-            raise TruncationError(
-                f"cannot compare to order {bound}: known only to {diff.trunc}")
-        return diff.is_zero or diff.lead_exponent > bound
-
     # -- rendering ------------------------------------------------------
 
     def __str__(self):
@@ -285,7 +276,7 @@ class FormalSeries:
             # zero to the best provable order
             return FormalSeries(d, a.lead + b.lead, ())
         n = min(len(a.coeffs), len(b.coeffs))
-        out = convolve(list(a.coeffs), list(b.coeffs), n)
+        out = convolve(a.coeffs, b.coeffs, n)
         return FormalSeries(d, a.lead + b.lead, out)
 
     def __rmul__(self, other):
@@ -303,7 +294,7 @@ class FormalSeries:
     def inverse(self) -> "FormalSeries":
         if self.is_zero:
             raise SeriesError("division by zero series")
-        inv = reciprocal(list(self.coeffs), len(self.coeffs))
+        inv = reciprocal(self.coeffs, len(self.coeffs))
         return FormalSeries(self.denom, -self.lead, inv)
 
     def __pow__(self, n: int):
@@ -311,9 +302,12 @@ class FormalSeries:
             raise SeriesError("pow exponent must be an integer")
         if n < 0:
             return self.inverse() ** (-n)
-        base = self
         if n == 0:
-            return constant(1, self.trunc)
+            # known as far as s**k * s**-k: the relative order of s
+            if self.is_zero:
+                return constant(1, self.trunc)
+            return constant(1, self.trunc - self.lead_exponent)
+        base = self
         result = None
         while n:
             if n & 1:

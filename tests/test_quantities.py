@@ -18,6 +18,16 @@ STAR_138 = [1, -1, 0, 1, -1, 1, 0, -2, 2, -1, 0, 2, -3, 2, 0, -2]
 STAR_2311 = [1, 0, -1, 1, 0, -1, 1, 0, 0, 0, -1, 1, 0, -2, 2, 1]
 
 
+def agree_to(a, b, order):
+    """a - b is known to ``order`` and vanishes at every exponent up to it.
+
+    The residual is read by its lead exponent, as the exact verdicts do.
+    """
+    diff = a - b
+    assert diff.trunc >= order
+    return diff.is_zero or diff.lead_exponent > order
+
+
 class TestQuotientSeries:
     @pytest.mark.parametrize("abp,expect", [
         ((1, 2, 5), STAR_125),
@@ -106,7 +116,7 @@ class TestLogDerivative:
             r = Q.rq_series(spec, 40)
             lhs = r.q_derivative()
             rhs = (Q.m_series(spec, 40) * r).truncated(lhs.trunc)
-            assert lhs.agrees_with(rhs, 39), abp
+            assert agree_to(lhs, rhs, 39), abp
 
     def test_log_series_derivative(self):
         # the formal log of R is -sum tau(n) q^n / n; its q-derivative is M - Q
@@ -116,7 +126,7 @@ class TestLogDerivative:
             [(n, Fraction(-table.tau(n), n)) for n in range(1, 41)], 40)
         lhs = log_r.q_derivative()
         rhs = Q.m_series(spec, 40) - S.constant(spec.Q, 40)
-        assert lhs.agrees_with(rhs, 40)
+        assert agree_to(lhs, rhs, 40)
 
 
 class TestEtaBuilders:
@@ -210,14 +220,13 @@ class TestRationalSpecs:
         mapped = Q.rq_series(w, 12).substitute_power(power)
         if inverted:
             mapped = mapped.inverse()
-        assert direct.agrees_with(mapped, 5)
+        assert agree_to(direct, mapped, 5)
 
     def test_normalized_agile_quotient_is_rq(self):
         spec = RQSpec(1, 3, 10)
         num = Q.normalized_agile_series(1, 10, 12)
         den = Q.normalized_agile_series(3, 10, 12)
-        assert (num / den).truncated(10).agrees_with(
-            Q.rq_series(spec, 10), 10)
+        assert agree_to((num / den).truncated(10), Q.rq_series(spec, 10), 10)
 
 
 class TestRegistry:

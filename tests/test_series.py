@@ -12,6 +12,16 @@ from rqwork.series import (FormalSeries, SeriesError, TruncationError,
                            constant, make_series, pochhammer_inf, zero)
 
 
+def agree_to(a, b, order):
+    """a - b is known to ``order`` and vanishes at every exponent up to it.
+
+    The residual is read by its lead exponent, as the exact verdicts do.
+    """
+    diff = a - b
+    assert diff.trunc >= order
+    return diff.is_zero or diff.lead_exponent > order
+
+
 def geometric(order):
     # 1/(1-q) = 1 + q + q^2 + ...
     return make_series([(n, 1) for n in range(order + 1)], order)
@@ -125,6 +135,12 @@ class TestArithmetic:
     def test_pow_zero(self):
         s = make_series([(2, 5)], 10)
         assert (s ** 0).coeff(0) == 1
+        # known as far as s**2 * s**-2, the relative order of s
+        assert (s ** 0).trunc == 8
+        t = make_series([(1, 2), (2, 1)], 5)
+        assert t ** 0 == t ** 2 * t ** -2
+        u = make_series([(-2, 1), (Fraction(-3, 2), 1)], Fraction(-3, 2))
+        assert u ** 0 == constant(1, Fraction(1, 2))
 
 
 class TestStructureOps:
@@ -173,14 +189,14 @@ class TestStructureOps:
     def test_agrees_with(self):
         a = make_series([(0, 1), (5, 9)], 10)
         b = make_series([(0, 1), (5, 7)], 10)
-        assert a.agrees_with(b, 4)
-        assert not a.agrees_with(b, 5)
+        assert agree_to(a, b, 4)
+        assert not agree_to(a, b, 5)
 
     def test_zero_keeps_fractional_truncation(self):
         a = make_series([(Fraction(1, 3), 1), (Fraction(2, 3), 2)],
                         Fraction(7, 3))
         assert (a - a).trunc == Fraction(7, 3)
-        assert a.agrees_with(a, Fraction(7, 3))
+        assert agree_to(a, a, Fraction(7, 3))
 
 
 class TestPochhammer:
@@ -234,7 +250,7 @@ def test_ring_axioms(a, b, c):
     assert a * b == b * a
     lhs = a * (b + c)
     rhs = a * b + a * c
-    assert lhs.agrees_with(rhs, min(lhs.trunc, rhs.trunc))
+    assert agree_to(lhs, rhs, min(lhs.trunc, rhs.trunc))
 
 
 @settings(max_examples=60, deadline=None)
@@ -246,7 +262,7 @@ def test_inverse_property(s):
         return
     prod = s * s.inverse()
     one = constant(1, prod.trunc)
-    assert prod.agrees_with(one, prod.trunc)
+    assert agree_to(prod, one, prod.trunc)
 
 
 @settings(max_examples=60, deadline=None)
@@ -261,7 +277,7 @@ def test_substitute_power_is_homomorphism(s, m):
 def test_derivative_leibniz(a, b):
     lhs = (a * b).q_derivative()
     rhs = a.q_derivative() * b + a * b.q_derivative()
-    assert lhs.agrees_with(rhs, min(lhs.trunc, rhs.trunc))
+    assert agree_to(lhs, rhs, min(lhs.trunc, rhs.trunc))
 
 
 # a plain Fraction schoolbook oracle: ({exponent: coefficient}, trunc) on
@@ -418,6 +434,139 @@ def test_reciprocal_exact_on_ints(b, n):
         assert all(type(c) is int for c in got)
     else:
         assert all(isinstance(c, Fraction) for c in got)
+
+
+# the multiply path of _backend (common stride, sparse schoolbook and the
+# Kronecker product) against the Fraction oracle above
+
+@st.composite
+def kernel_list(draw, max_terms=300):
+    """A coefficient list on a strided support after ``offset`` zeros.
+
+    Hypothesis draws the shape; a seeded generator fills in the values,
+    so a list of a few hundred wide terms stays cheap to draw and replay.
+    Dense int lists of ``KRONECKER_MIN_TERMS`` or more take the Kronecker
+    branch, and a Fraction anywhere keeps a product on the schoolbook.
+    """
+    stride = draw(st.integers(min_value=1, max_value=5))
+    offset = draw(st.integers(min_value=0, max_value=3))
+    count = draw(st.integers(min_value=1, max_value=max_terms // stride))
+    bits = draw(st.sampled_from([1, 4, 64, 100]))
+    density = draw(st.sampled_from([1, 1, 0.3, 0]))
+    # every term at the widest value of one sign drives the output
+    # coefficients up to the bound the Kronecker fields are sized by
+    extreme = draw(st.sampled_from([None, None, 1, -1]))
+    with_fraction = draw(st.integers(min_value=0, max_value=5)) == 0
+    rnd = draw(st.randoms(use_true_random=True))
+    out = [0] * (offset + stride * count)
+    for i in range(offset, len(out), stride):
+        if rnd.random() < density:
+            out[i] = (extreme * 2 ** bits if extreme
+                      else rnd.randint(-2 ** bits, 2 ** bits))
+    if with_fraction and out:
+        out[rnd.randrange(len(out))] = Fraction(rnd.randint(-9, 9),
+                                                rnd.randint(2, 9))
+    return out
+
+
+def plain_convolve(a, b, n):
+    terms = plain_mul((plain(a, 0)[0], n), (plain(b, 0)[0], n))[0]
+    return [terms.get(k, 0) for k in range(n)]
+
+
+def assert_int_closed(inputs, got):
+    if all(type(c) is int for x in inputs for c in x):
+        assert all(type(c) is int for c in got)
+
+
+def spread(x, stride):
+    out = [0] * (len(x) * stride)
+    out[::stride] = x
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_list(), kernel_list(), st.integers(min_value=1, max_value=3),
+       st.data())
+def test_convolve_matches_plain_product(a, b, stride, data):
+    # a stride shared by both factors, beyond any each has of its own
+    a, b = spread(a, stride), spread(b, stride)
+    short, long = sorted((len(a), len(b)))
+    n = data.draw(st.sampled_from([long, short // 2, short, short + long, 0]))
+    got = _backend.convolve(tuple(a), b, n)
+    assert got == plain_convolve(a, b, n)
+    assert_int_closed((a, b), got)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_list(max_terms=60), st.sampled_from([1, -1, 3, -2 ** 70]),
+       st.data())
+def test_reciprocal_matches_plain_inverse(b, b0, data):
+    b = [b0] + b[1:]
+    n = data.draw(st.integers(min_value=1, max_value=len(b) + 4))
+    got = _backend.reciprocal(tuple(b), n)
+    terms = plain_inverse((plain(b, 0)[0], Fraction(n - 1)))[0]
+    assert got == [terms.get(k, 0) for k in range(n)]
+    if b0 in (1, -1):
+        assert_int_closed((b,), got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_list(), kernel_list(max_terms=60),
+       st.integers(min_value=-2, max_value=2),
+       st.integers(min_value=-2, max_value=2))
+def test_long_series_match_plain_fraction_arithmetic(a, b, la, lb):
+    s, t = FormalSeries(1, la, a), FormalSeries(1, lb, b)
+    x, y = plain(a, la), plain(b, lb)
+    assert_plain(s * t, plain_mul(x, y))
+    assert_plain(s * s, plain_mul(x, x))
+    if y[0]:
+        assert_plain(t.inverse(), plain_inverse(y))
+
+
+def test_multiply_path_branches(monkeypatch):
+    """Each step of the path is taken where the operands call for it."""
+    calls = []
+    for name in ("_product", "_kronecker"):
+        def spy(*args, _name=name, _orig=getattr(_backend, name)):
+            calls.append((_name, len(args[0]), len(args[1])))
+            return _orig(*args)
+        monkeypatch.setattr(_backend, name, spy)
+
+    def run(a, b, n):
+        calls.clear()
+        got = _backend.convolve(a, b, n)
+        assert got == plain_convolve(a, b, n)
+        return [c[0] for c in calls]
+
+    k = _backend.KRONECKER_MIN_TERMS
+    dense = [(-1) ** i * (i + 1) for i in range(k)]
+    # common stride 3: the kernel sees every third coefficient
+    assert run([1, 0, 0, 2, 0, 0, 3], [4, 0, 0, -5], 7) == ["_product"]
+    assert calls == [("_product", 3, 2)]
+    # dense ints with k terms in the sparser factor: one bigint product
+    assert run(dense, dense[::-1], k) == ["_product", "_kronecker"]
+    # one term fewer, a Fraction, or a binomial factor: the schoolbook
+    assert run(dense[:-1], dense, k) == ["_product"]
+    assert run(dense[:-1] + [Fraction(1, 2)], dense, k) == ["_product"]
+    assert run([1, -1], dense, k) == ["_product"]
+    # an all-zero factor needs no product at all
+    assert run([0, 0], dense, k) == []
+    # the middle coefficient 128 * 16**2 = 2**15 is 16 bits wide, so with
+    # the sign bit its field takes 3 bytes; 2 bytes would overflow
+    assert run([16] * 128, [16] * 128, 255) == ["_product", "_kronecker"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_st(), st.integers(min_value=0, max_value=4),
+       st.integers(min_value=-2, max_value=2))
+def test_pow_zero_is_product_rule(s, n, shift):
+    if s.coeff(0) == 0:
+        s = s + 1
+    s = s.shifted(shift)
+    if s.is_zero:
+        return
+    assert s ** n * s ** -n == s ** 0
 
 
 def test_environment_constants():
