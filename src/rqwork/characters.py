@@ -177,22 +177,25 @@ def tau_relation_scan(spec: RQSpec, J: int, n_max: int) -> List[TauRelation]:
     """Mine a basis of empirically valid tau relations up to multiplier J.
 
     Solves sum_{j<=J} c[j] tau(j n) = 0 over n <= n_max exactly, then
-    re-checks every basis vector on n_max < n <= TAU_REVERIFY_FACTOR*n_max.
-    Returned vectors are primitive integers with positive leading entry.
+    re-checks every basis vector on n_max < n <= hi, with
+    hi = TAU_REVERIFY_FACTOR*max(n_max, J), so that the window holds
+    multiples of every prime j <= J.  Returned vectors are primitive
+    integers with positive leading entry.
     """
     table = TauTable(spec).fill(J * n_max)
     matrix = [[table.values[j * n] for j in range(1, J + 1)]
               for n in range(1, n_max + 1)]
     basis = nullspace_rational(matrix)
     relations = []
-    hi = TAU_REVERIFY_FACTOR * n_max
+    hi = TAU_REVERIFY_FACTOR * max(n_max, J)
     # the longer table is sieved only now, so it is not held through the
     # nullspace solve
     values = table.fill(J * hi).values
     for vec in basis:
-        support = [(j, c) for j, c in enumerate(vec, start=1) if c]
-        ok = all(sum(c * values[j * n] for j, c in support) == 0
-                 for n in range(n_max + 1, hi + 1))
+        # the slice for j holds tau(j n) for n_max < n <= hi
+        terms = [map(c.__mul__, values[j * (n_max + 1):j * hi + 1:j])
+                 for j, c in enumerate(vec, start=1) if c]
+        ok = not any(map(sum, zip(*terms)))
         relations.append(TauRelation(
             spec, J, n_max, list(vec),
             "re-verified" if ok else "empirical"))

@@ -97,8 +97,22 @@ class TestScan:
         for rel in rels:
             holds = all(
                 sum(c * _tau_by_divisors(spec, j * n) for j, c in rel.support())
-                == 0 for n in range(11, TAU_REVERIFY_FACTOR * 10 + 1))
+                == 0 for n in range(11, TAU_REVERIFY_FACTOR * 17 + 1))
             assert rel.status == ("re-verified" if holds else "empirical")
+
+    def test_window_reaches_every_multiplier(self):
+        # with J > n_max the window must still hold a multiple of each
+        # j <= J: 12 tau(n) + tau(13n) = 0 holds for n <= 12 only
+        spec = RQSpec(1, 2, 5)
+        rels = tau_relation_scan(spec, 30, 3)
+        status = {tuple(rel.support()): rel.status for rel in rels}
+        assert status[((1, 12), (13, 1))] == "empirical"
+        table = TauTable(spec).fill(30 * 500)
+        for rel in rels:
+            if rel.status == "re-verified":
+                assert all(sum(c * table.values[j * n]
+                               for j, c in rel.support()) == 0
+                           for n in range(1, 501)), rel.coeffs
 
     def test_finds_prime_periodicity(self):
         rels = tau_relation_scan(RQSpec(1, 2, 5), 5, 60)

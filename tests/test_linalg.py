@@ -1,12 +1,14 @@
-"""The block-split nullspace against a plain Fraction Gauss-Jordan solve."""
+"""The block-split multimodular nullspace against a plain Fraction
+Gauss-Jordan solve."""
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import islice
+from math import gcd, isqrt, lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rqwork.linalg import nullspace_rational
+from rqwork.linalg import _is_prime, _primes, nullspace_rational
 
 
 def _reference_nullspace(matrix, ncols):
@@ -75,3 +77,85 @@ def test_block_split_matches_reference(matrix):
 def test_zero_column_gives_unit_vector():
     matrix = [[1, 0, 1, 0], [2, 0, 3, 0], [0, 0, 0, 5]]
     assert nullspace_rational(matrix) == [[0, 1, 0, 0]]
+
+
+P = 2 ** 61 - 1
+P2 = next(p for p in range(P - 2, 0, -2) if _is_prime(p))
+
+
+def test_primes_descend_from_mersenne():
+    assert list(islice(_primes(), 2)) == [P, P2]
+    small = [n for n in range(39, 5000, 2) if _is_prime(n)]
+    assert small == [n for n in range(39, 5000, 2)
+                     if all(n % d for d in range(3, isqrt(n) + 1, 2))]
+    # strong pseudoprime to every prime base up to 23
+    assert not _is_prime(3825123056546413051)
+
+
+@st.composite
+def wide_matrices(draw):
+    """Fewer rows than columns, entries up to 2**100, and sometimes a row
+    that is a combination of two others: kernel entries are ratios of
+    minors far above one prime, so the lift needs several primes."""
+    ncols = draw(st.integers(2, 5))
+    entries = st.integers(-2 ** 100, 2 ** 100)
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=ncols - 1))
+    if draw(st.booleans()):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_matrices())
+def test_wide_entries_match_reference(matrix):
+    ncols = len(matrix[0])
+    assert nullspace_rational(matrix) == _reference_nullspace(matrix, ncols)
+
+
+@st.composite
+def tall_low_rank(draw):
+    """A product A*B of small integer matrices with many more rows than
+    columns and rank at most the inner size, shaped like a tau scan."""
+    ncols = draw(st.integers(2, 8))
+    inner = draw(st.integers(1, ncols))
+    nrows = draw(st.integers(ncols, 40))
+    small = st.integers(-9, 9)
+    a = draw(st.lists(st.lists(small, min_size=inner, max_size=inner),
+                      min_size=nrows, max_size=nrows))
+    b = draw(st.lists(st.lists(small, min_size=ncols, max_size=ncols),
+                      min_size=inner, max_size=inner))
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+@settings(max_examples=100, deadline=None)
+@given(tall_low_rank())
+def test_tall_rank_deficient_match_reference(matrix):
+    ncols = len(matrix[0])
+    assert nullspace_rational(matrix) == _reference_nullspace(matrix, ncols)
+
+
+def test_unlucky_first_prime():
+    cases = [
+        # mod P the pivots are (0, 2), later than (0, 1) over Q
+        ([[1, 1, 0], [1, 1 + P, 1]], [[1, -1, P]]),
+        # mod P the rank falls to 1, so the prime has fewer pivots
+        ([[1, 1], [1, 1 + P]], []),
+        # mod P the kernel entry P reads 0, so only the CRT lift recovers it
+        ([[1, P, 0], [0, 1, 1]], [[P, -1, 1]]),
+        # P lifts wrongly and the next prime is unlucky; it must not be
+        # combined with P
+        ([[1, 1, 0], [1, 1 + P2, 1]], [[1, -1, P2]]),
+    ]
+    for matrix, basis in cases:
+        assert (nullspace_rational(matrix) == basis
+                == _reference_nullspace(matrix, len(matrix[0])))
+
+
+def test_kernel_entry_above_one_prime():
+    # 3**40 and 2**70 + 1 exceed sqrt(P/2), so one prime cannot lift them
+    matrix = [[3 ** 40, 2 ** 70 + 1]]
+    assert nullspace_rational(matrix) == [[2 ** 70 + 1, -3 ** 40]]
+    assert nullspace_rational(matrix) == _reference_nullspace(matrix, 2)
