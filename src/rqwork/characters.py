@@ -179,18 +179,18 @@ def tau_relation_scan(spec: RQSpec, J: int, n_max: int) -> List[TauRelation]:
     Solves sum_{j<=J} c[j] tau(j n) = 0 over n <= n_max exactly, then
     re-checks every basis vector on n_max < n <= hi, with
     hi = TAU_REVERIFY_FACTOR*max(n_max, J), so that the window holds
-    multiples of every prime j <= J.  Returned vectors are primitive
-    integers with positive leading entry.
+    multiples of every prime j <= J.  One sieve to J*hi serves both the
+    matrix and the window.  The matrix has n_max rows but rank at most J;
+    ``nullspace_rational`` eliminates only as many leading rows as the
+    rank needs and checks its basis on the rest.  Returned vectors are
+    primitive integers with positive leading entry.
     """
-    table = TauTable(spec).fill(J * n_max)
-    matrix = [[table.values[j * n] for j in range(1, J + 1)]
-              for n in range(1, n_max + 1)]
-    basis = nullspace_rational(matrix)
-    relations = []
     hi = TAU_REVERIFY_FACTOR * max(n_max, J)
-    # the longer table is sieved only now, so it is not held through the
-    # nullspace solve
-    values = table.fill(J * hi).values
+    values = TauTable(spec).fill(J * hi).values
+    # row n holds tau(n), tau(2n), ..., tau(J n)
+    basis = nullspace_rational(
+        [values[n:J * n + 1:n] for n in range(1, n_max + 1)])
+    relations = []
     for vec in basis:
         # the slice for j holds tau(j n) for n_max < n <= hi
         terms = [map(c.__mul__, values[j * (n_max + 1):j * hi + 1:j])

@@ -20,8 +20,8 @@ below it).  The reduced echelon form mod p gives, for each free column f,
 a kernel vector with 1 at f and -R[r][f] at the pivot of row r; each entry
 is lifted to a rational by Wang's reconstruction, and residues of several
 primes are combined by the Chinese remainder theorem until every lifted
-vector passes an exact check against the block's integer rows.  The check
-is the certificate:
+vector passes an exact check against the integer rows being solved.  The
+check is the certificate for those rows:
 
 * a vector that passes shows, over Q, that its free column f depends on
   the pivot columns left of f, so f is free over Q too;
@@ -36,6 +36,21 @@ Residues are combined only across primes with the same pivot list, and a
 better list discards what was gathered before.  Once the product of the
 good primes exceeds 2*H**2 (H the block's Hadamard bound) every lift is
 exact, so the loop ends without a cap.
+
+A block is solved on its leading rows first.  A tall block (the tau scans
+are 289 x 17 and 289 x 26) has far more rows than its rank, and the rows
+that add no rank are most of the elimination.  The solve above runs on
+the first k rows, k from the block's column count (a bound on the rank)
+up, and its lifted vectors are certified on those k rows exactly as
+described.  The kernel of the leading rows contains the kernel of the
+block.  So when every certified vector also annihilates the remaining
+rows, the two kernels are equal, and the basis, with 1 at its free column
+and 0 at the other free columns, is the block's canonical one.  Each
+vector is checked on the remaining rows as soon as it is certified.  When
+one fails there, the leading rows miss some of the block's rank: k
+doubles and the block is solved again, until k covers every row.  A
+failure there widens k; it never rejects a prime, because the vector is
+already certified for the rows it was solved on.
 
 ``row_echelon_int`` keeps the fraction-free (Bareiss) elimination as an
 independent reference for the tests.
@@ -262,11 +277,16 @@ def _annihilates(columns, vec):
     return not any(map(sum, zip(*terms)))
 
 
-def _block_nullspace(rows: List[List[int]], ncols: int):
-    """(free column, primitive vector) of one block, in free-column order.
+def _certified_kernel(rows: List[List[int]], ncols: int, rest):
+    """(free column, primitive vector) of the kernel of ``rows``, in
+    free-column order, or None when the block's remaining rows ``rest``
+    (given as columns) reject a vector.
 
-    The block is solved mod successive primes until every lifted vector
-    passes the exact check (see the module docstring).
+    The rows are solved mod successive primes until every lifted vector
+    passes the exact check on them (see the module docstring).  A vector
+    that passes and then fails on ``rest`` is a kernel vector of ``rows``
+    outside the block's kernel, so ``rows`` miss some of the block's rank
+    and more primes cannot help.
     """
     columns = list(zip(*rows)) or [()] * ncols
     pivots = None
@@ -292,9 +312,26 @@ def _block_nullspace(rows: List[List[int]], ncols: int):
             if f not in done:
                 vec = _lift(residues[f], m)
                 if vec is not None and _annihilates(columns, vec):
+                    if rest and not _annihilates(rest, vec):
+                        return None
                     done[f] = vec
         if len(done) == len(free):
             return [(f, done[f]) for f in free]
+
+
+def _block_nullspace(rows: List[List[int]], ncols: int):
+    """(free column, primitive vector) of one block, in free-column order.
+
+    The kernel of the first k rows, k = ncols, 2 ncols, ..., is accepted
+    once every vector also annihilates the remaining rows (see the module
+    docstring).
+    """
+    k = ncols
+    while True:
+        basis = _certified_kernel(rows[:k], ncols, list(zip(*rows[k:])))
+        if basis is not None:
+            return basis
+        k *= 2
 
 
 def nullspace_rational(matrix) -> List[List[int]]:

@@ -9,7 +9,9 @@ before it is reported.
 The u^i v^j series are formed in one place, ``_monomial_series``: they are
 the columns of the mining matrix, and a re-verification residual P(u, v)
 is the integer combination of the columns of P's monomials, built once
-on the longer series for all candidates together.
+on the longer series for all candidates together.  ``_verdict`` sums a
+residual into one coefficient list by index, the way the matrix rows are
+filled, with no series arithmetic.
 
 The rows are filled by index: a column's stored coefficients are placed
 on the common exponent lattice by integer arithmetic, with no exponent
@@ -25,9 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from itertools import repeat
 from math import lcm
-from operator import add
+from operator import add, mul
 from typing import Dict, List, Optional, Tuple
 
 from . import quantities as Qm
@@ -193,14 +195,32 @@ def _monomial_series(u: FormalSeries, v: FormalSeries,
 def _verdict(poly: BivariatePolynomial, columns: dict, order) -> dict:
     """Judge P(u, v) = sum c_ij u^i v^j from its prebuilt columns.
 
-    ``columns`` maps (i, j) to the u^i v^j series; the residual is the
-    integer combination of the polynomial's columns.
+    ``columns`` maps (i, j) to the u^i v^j series.  The residual is one
+    coefficient list on the common lattice of P's own columns, summed
+    column by column with integer arithmetic up to the limit min(order,
+    the lowest truncation among those columns), where every exponent is
+    known.  P fails at the first nonzero entry and otherwise holds to
+    that limit.
     """
-    residual = reduce(add, (columns[ij] * c for ij, c in poly.terms))
-    if not residual.is_zero and residual.lead_exponent <= order:
-        return {"verdict": "fails_at", "fails_at": str(residual.lead_exponent)}
-    return {"verdict": "holds_to_order",
-            "order": str(min(residual.trunc, order))}
+    cols = [(columns[ij], c) for ij, c in poly.terms]
+    limit = min(order, *(col.trunc for col, _ in cols))
+    cols = [(col, c) for col, c in cols if not col.is_zero]
+    denom = lcm(*(col.denom for col, _ in cols))
+    n_lo = min((col.lead * (denom // col.denom) for col, _ in cols),
+               default=0)
+    size = limit.numerator * denom // limit.denominator - n_lo + 1
+    acc = [0] * size
+    for col, c in cols:
+        step = denom // col.denom
+        start = col.lead * step - n_lo
+        if start < size:
+            where = slice(start, size, step)
+            acc[where] = map(add, acc[where], map(mul, col.coeffs, repeat(c)))
+    for n, x in enumerate(acc):
+        if x:
+            return {"verdict": "fails_at",
+                    "fails_at": str(Fraction(n_lo + n, denom))}
+    return {"verdict": "holds_to_order", "order": str(limit)}
 
 
 def _coefficient_matrix(columns: List[FormalSeries]):

@@ -1,5 +1,5 @@
-"""The block-split multimodular nullspace against a plain Fraction
-Gauss-Jordan solve."""
+"""The block-split multimodular nullspace, solved on leading rows, against
+a plain Fraction Gauss-Jordan solve."""
 
 from fractions import Fraction
 from itertools import islice
@@ -8,7 +8,10 @@ from math import gcd, isqrt, lcm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rqwork.linalg import _is_prime, _primes, nullspace_rational
+from rqwork import linalg
+from rqwork.characters import RQSpec, TauTable
+from rqwork.linalg import (_block_nullspace, _is_prime, _primes,
+                           nullspace_rational)
 
 
 def _reference_nullspace(matrix, ncols):
@@ -159,3 +162,58 @@ def test_kernel_entry_above_one_prime():
     matrix = [[3 ** 40, 2 ** 70 + 1]]
     assert nullspace_rational(matrix) == [[2 ** 70 + 1, -3 ** 40]]
     assert nullspace_rational(matrix) == _reference_nullspace(matrix, 2)
+
+
+@st.composite
+def late_rank_blocks(draw):
+    """A block whose first ncols rows are rank-deficient: zero rows,
+    repeated rows and rows of a low-rank product G*B, with fewer rows in
+    B than columns.  Random rows follow, so the full rank shows only after
+    the first ncols rows."""
+    ncols = draw(st.integers(2, 6))
+    small = st.integers(-5, 5)
+    row = st.lists(small, min_size=ncols, max_size=ncols)
+    gens = draw(st.lists(row, min_size=1, max_size=ncols - 1))
+    head = []
+    for _ in range(ncols):
+        kind = draw(st.sampled_from(("zero", "repeat", "product")))
+        if kind == "zero":
+            head.append([0] * ncols)
+        elif kind == "repeat" and head:
+            head.append(list(draw(st.sampled_from(head))))
+        else:
+            g = draw(st.lists(small, min_size=len(gens), max_size=len(gens)))
+            head.append([sum(x * b[c] for x, b in zip(g, gens))
+                         for c in range(ncols)])
+    return head + draw(st.lists(row, min_size=1, max_size=2 * ncols))
+
+
+@settings(max_examples=200, deadline=None)
+@given(late_rank_blocks())
+def test_late_rank_widens_to_reference(matrix):
+    ncols = len(matrix[0])
+    expected = _reference_nullspace(matrix, ncols)
+    # the block as it stands, zero rows included, then through the split
+    assert [vec for _, vec in _block_nullspace(matrix, ncols)] == expected
+    assert nullspace_rational(matrix) == expected
+
+
+def test_tau_block_widens_twice(monkeypatch):
+    # tau(j n) for j <= 26 and n <= 289 of (1,5,26): rank 11, but the
+    # first 76 rows leave a larger kernel, so 26 and 52 rows are too few
+    values = TauTable(RQSpec(1, 5, 26)).fill(26 * 289).values
+    matrix = [values[n:26 * n + 1:n] for n in range(1, 290)]
+    expected = _reference_nullspace(matrix, 26)
+    assert len(expected) == 15
+    assert nullspace_rational(matrix[:76]) != expected
+    assert nullspace_rational(matrix[:77]) == expected
+    solved = []
+    certified_kernel = linalg._certified_kernel
+
+    def spy(rows, ncols, rest):
+        solved.append(len(rows))
+        return certified_kernel(rows, ncols, rest)
+
+    monkeypatch.setattr(linalg, "_certified_kernel", spy)
+    assert nullspace_rational(matrix) == expected
+    assert solved == [26, 52, 104]

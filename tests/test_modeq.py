@@ -1,5 +1,6 @@
 """Unit tests for polynomial canonicalization and nullspace mining."""
 
+import json
 from fractions import Fraction
 from math import lcm
 
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 from rqwork import quantities as Q
 from rqwork import series as S
 from rqwork.characters import RQSpec
+from rqwork.cli import dispatch
 from rqwork.modeq import (BivariatePolynomial, MiningError, MiningJob,
-                          SeriesRecipe, _coefficient_matrix, mine, n_series,
-                          verify_relation)
+                          SeriesRecipe, _coefficient_matrix, _verdict, mine,
+                          n_series, verify_relation)
 
 
 class TestPolynomial:
@@ -161,6 +163,18 @@ def test_zero_residual_holds_to_fractional_order():
     assert verdict == {"verdict": "holds_to_order", "order": "31/5"}
 
 
+def test_zero_residual_keeps_truncation_of_its_columns():
+    # (q^(1/2) + q) - q^(1/2) lies on the integer lattice, but all three
+    # columns are known to 5/2, so the zero residual is too
+    columns = {(1, 0): S.make_series([(Fraction(1, 2), 1), (1, 1)],
+                                     Fraction(5, 2)),
+               (0, 1): S.make_series([(Fraction(1, 2), -1)], Fraction(5, 2)),
+               (1, 1): S.make_series([(1, -1)], 3)}
+    poly = BivariatePolynomial.build({(1, 0): 1, (0, 1): 1, (1, 1): 1})
+    assert _verdict(poly, columns, 3) == {"verdict": "holds_to_order",
+                                          "order": "5/2"}
+
+
 # the index-addressed mining rows against per-exponent coeff() lookups
 
 column_st = st.builds(
@@ -178,3 +192,27 @@ def test_coefficient_matrix_matches_coeff_lookup(columns):
     expected = [[col.coeff(Fraction(n, denom)) for col in columns]
                 for n in range(int(lo * denom), int(hi * denom) + 1)]
     assert _coefficient_matrix(columns) == (expected, hi)
+
+
+# the re-verification gate's failure path, judged by plain arithmetic
+
+@pytest.mark.parametrize("spec, dropped", [("1,2,8", 1), ("3,4,10", 6)])
+def test_dropped_candidates_fail_where_plain_arithmetic_does(
+        capsys, spec, dropped):
+    code = dispatch(["mine", "--spec", spec, "--alpha", "1", "--beta", "2",
+                     "--box", "3"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert len(report["dropped_candidates"]) == dropped
+    job = report["job"]
+    recipes = [SeriesRecipe(RQSpec.parse(job[side]["spec"].strip("()")),
+                            Fraction(job[side]["power"])) for side in "uv"]
+    re_order = (Fraction(job["order_steps"], report["lattice_denom"])
+                * Fraction(job["reverify_factor"]))
+    u, v = (recipe.build(re_order) for recipe in recipes)
+    re_order = min(re_order, u.trunc, v.trunc)
+    for candidate in report["dropped_candidates"]:
+        poly = BivariatePolynomial.build(
+            {(i, j): c for i, j, c in candidate["polynomial"]["terms"]})
+        assert _plain_verdict(poly, u, v, re_order) == {
+            "verdict": "fails_at", "fails_at": candidate["fails_at"]}
