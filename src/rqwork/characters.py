@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Dict, List, Optional
 
-from .linalg import nullspace_rational
-from .series import _frac
+from .linalg import _annihilates, nullspace_rational
+from .series import _frac, _signed_sum
 
 TAU_REVERIFY_FACTOR = 4
 
@@ -91,7 +90,7 @@ class TauTable:
     """Character values and divisor sums tau(n) for an integer spec.
 
     ``fill(n_max)`` sieves tau into the list ``values`` (``values[n]`` is
-    tau(n)); above the filled range ``tau`` enumerates divisors.
+    tau(n) for n <= n_max); every reader of tau reads that list.
     """
 
     spec: RQSpec
@@ -111,23 +110,8 @@ class TauTable:
         p = len(self.chi_row)
         return self.chi_row[n % p]
 
-    def tau(self, n: int) -> int:
-        """tau(n) = sum over d | n of X(d)*d."""
-        if n < len(self.values):
-            return self.values[n]
-        total = 0
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                total += self.chi(d) * d
-                e = n // d
-                if e != d:
-                    total += self.chi(e) * e
-            d += 1
-        return total
-
     def fill(self, n_max: int):
-        """Sieve tau for all n <= n_max (faster than per-n enumeration)."""
+        """Sieve tau for all n <= n_max, one pass per divisor d."""
         totals = [0] * (n_max + 1)
         row, p = self.chi_row, len(self.chi_row)
         for d in range(1, n_max + 1):
@@ -150,18 +134,10 @@ class TauRelation:
     coeffs: List[int]
     status: str  # "empirical" or "re-verified"
 
-    def support(self):
-        return [(j + 1, c) for j, c in enumerate(self.coeffs) if c]
-
     def __str__(self):
-        parts = []
-        for j, c in self.support():
-            term = f"tau({j}n)" if j > 1 else "tau(n)"
-            if parts:
-                parts.append(f"+ {c}*{term}" if c > 0 else f"- {-c}*{term}")
-            else:
-                parts.append(f"{c}*{term}")
-        return " ".join(parts) + " = 0"
+        return _signed_sum(
+            (c, f"tau({j}n)" if j > 1 else "tau(n)")
+            for j, c in enumerate(self.coeffs, start=1)) + " = 0"
 
     def to_json(self) -> dict:
         return {
@@ -182,24 +158,22 @@ def tau_relation_scan(spec: RQSpec, J: int, n_max: int) -> List[TauRelation]:
     multiples of every prime j <= J.  One sieve to J*hi serves both the
     matrix and the window.  The matrix has n_max rows but rank at most J;
     ``nullspace_rational`` eliminates only as many leading rows as the
-    rank needs and checks its basis on the rest.  Returned vectors are
-    primitive integers with positive leading entry.
+    rank needs and checks its basis on the rest.  The window, one column
+    per multiplier j, gets the solver's own exact check
+    ``linalg._annihilates``.  Returned vectors are primitive integers
+    with positive leading entry.
     """
     hi = TAU_REVERIFY_FACTOR * max(n_max, J)
     values = TauTable(spec).fill(J * hi).values
     # row n holds tau(n), tau(2n), ..., tau(J n)
     basis = nullspace_rational(
         [values[n:J * n + 1:n] for n in range(1, n_max + 1)])
-    relations = []
-    for vec in basis:
-        # the slice for j holds tau(j n) for n_max < n <= hi
-        terms = [map(c.__mul__, values[j * (n_max + 1):j * hi + 1:j])
-                 for j, c in enumerate(vec, start=1) if c]
-        ok = not any(map(sum, zip(*terms)))
-        relations.append(TauRelation(
-            spec, J, n_max, list(vec),
-            "re-verified" if ok else "empirical"))
-    return relations
+    # column j - 1 holds tau(j n) for n_max < n <= hi
+    window = [values[j * (n_max + 1):j * hi + 1:j] for j in range(1, J + 1)]
+    return [TauRelation(spec, J, n_max, list(vec),
+                        "re-verified" if _annihilates(window, vec)
+                        else "empirical")
+            for vec in basis]
 
 
 @dataclass

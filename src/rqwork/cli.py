@@ -218,8 +218,7 @@ def _run_series(args):
 
 
 def _run_tau(args):
-    table = TauTable(args.spec).fill(args.nmax)
-    values = [table.tau(n) for n in range(1, args.nmax + 1)]
+    values = TauTable(args.spec).fill(args.nmax).values[1:]
     return [_wrap(args, {"tau": values})], 0
 
 

@@ -80,20 +80,10 @@ class BivariatePolynomial:
         return len(self.terms)
 
     def __str__(self):
-        parts = []
-        for (i, j), c in self.terms:
-            mono = "*".join(
-                ([f"u^{i}" if i > 1 else "u"] if i else [])
-                + ([f"v^{j}" if j > 1 else "v"] if j else []))
-            mag = abs(c)
-            body = mono if mono else "1"
-            if mag != 1 or not mono:
-                body = f"{mag}*{mono}" if mono else str(mag)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return S._signed_sum(
+            (c, "*".join(f"{x}^{k}" if k > 1 else x
+                         for x, k in (("u", i), ("v", j)) if k))
+            for (i, j), c in self.terms)
 
     def to_json(self) -> dict:
         return {"terms": [[i, j, c] for (i, j), c in self.terms],

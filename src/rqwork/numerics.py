@@ -17,14 +17,14 @@ from functools import lru_cache
 from itertools import accumulate, chain, islice, repeat
 from math import ceil, log
 from operator import mul
-from typing import List, Optional
+from typing import Optional
 
 import mpmath
 
 from . import quantities as Qm
 from .characters import RQSpec
 from .modeq import n_series
-from .series import FormalSeries, _frac
+from .series import FormalSeries, _frac, _signed_sum
 
 
 class NumericsError(ValueError):
@@ -35,21 +35,21 @@ class NumericsError(ValueError):
 class PrecisionContext:
     """Working precision plus guard digits and the mpmath context for them.
 
-    Values are computed at digits + guard decimal places and reported at
+    Values are computed at digits + GUARD decimal places and reported at
     ``digits``; the guard absorbs cancellation so that reported values
     are trustworthy to about 10^-(digits-10).
     """
 
     digits: int = 50
-    guard: int = 10
+    GUARD = 10  # a class constant, not a field
 
     @property
     def mp(self):
-        return _mp_context(self.digits + self.guard)
+        return _mp_context(self.digits + self.GUARD)
 
     @property
     def tail_tolerance(self):
-        return mpmath.mpf(10) ** (-(self.digits + self.guard))
+        return mpmath.mpf(10) ** (-(self.digits + self.GUARD))
 
     def str_of(self, x) -> str:
         return mpmath.nstr(x, self.digits)
@@ -121,7 +121,7 @@ def singular_modulus(r, ctx: PrecisionContext) -> EllipticData:
     if r < 1:
         k, kp, K = kp, k, K * mp.sqrt(_to_mpf(mp, s))
     root = mp.sqrt(_to_mpf(mp, r))
-    tol = root * mp.mpf(10) ** (-(ctx.digits + ctx.guard - 5))
+    tol = root * mp.mpf(10) ** (-(ctx.digits + ctx.GUARD - 5))
     if not abs(mp.agm(1, kp) / mp.agm(1, k) - root) <= tol:
         raise NumericsError(
             f"singular modulus fails K(k')/K(k) = sqrt(r) for r={r}")
@@ -203,7 +203,7 @@ def series_derivative(series: FormalSeries) -> FormalSeries:
 
 def series_order_for(q_mag, ctx: PrecisionContext) -> int:
     """Truncation order so the series tail is below working precision."""
-    need = (ctx.digits + ctx.guard) * log(10) / (-log(q_mag))
+    need = (ctx.digits + ctx.GUARD) * log(10) / (-log(q_mag))
     return int(ceil(need)) + 10
 
 
@@ -334,7 +334,7 @@ def _converge_cf(partials, ctx: PrecisionContext):
     kept, so each is computed once however often the depth doubles.
     """
     mp = ctx.mp
-    tol = mp.mpf(10) ** (-(ctx.digits + ctx.guard - 2))
+    tol = mp.mpf(10) ** (-(ctx.digits + ctx.GUARD - 2))
     depth = 16
     terms = list(islice(partials, depth + 1))
     prev = _cf_backward(terms, depth)
@@ -540,31 +540,18 @@ def check_theta_coherence(spec: RQSpec, r, ctx: PrecisionContext) -> dict:
 # recognition
 
 
-def _poly_text(coeffs: List[int]) -> str:
-    parts = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if not c:
-            continue
-        mono = "x" if i == 1 else (f"x^{i}" if i else "")
-        mag = abs(c)
-        body = mono if (mag == 1 and mono) else (f"{mag}*{mono}" if mono else str(mag))
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
-
-
 def recognize_algebraic(x, max_degree: int, ctx: PrecisionContext
                         ) -> Optional[dict]:
     """Integer polynomial annihilating x, by lattice-based relation search.
 
     Tries degrees 1..max_degree on the power basis (1, x, ..., x^d);
     accepts the first primitive polynomial with residual below
-    10^(-digits/2) whose coefficient height stays under 10^(digits/4)
-    (taller vectors are lattice artifacts, not recognitions).  An x
-    already below that residual bound is reported as the root of x.
+    10^(-digits/2) whose coefficient height H stays under
+    10^(digits/(4 degree)).  Any degree + 1 integers of height H nearly
+    annihilate x, to about H^-degree, so a taller bound would let such
+    lattice artifacts pass as recognitions; under this one an artifact's
+    residual is near 10^(-digits/4).  An x already below the residual
+    bound is reported as the root of x.
     Returns None when nothing passes.
     """
     mp = ctx.mp
@@ -572,7 +559,6 @@ def recognize_algebraic(x, max_degree: int, ctx: PrecisionContext
     if mp.dps < 10 * max_degree:
         raise NumericsError(
             f"{ctx.digits} digits is too little for degree {max_degree}")
-    height_bound = mp.mpf(10) ** (ctx.digits / 4)
     residual_bound = mp.mpf(10) ** (-(ctx.digits / 2))
     if abs(x) < residual_bound:
         # PSLQ rejects a zero entry, and the powers of so small an x are
@@ -581,6 +567,7 @@ def recognize_algebraic(x, max_degree: int, ctx: PrecisionContext
                 "residual": ctx.str_of(abs(x))}
     for degree in range(1, max_degree + 1):
         powers = [x ** i for i in range(degree + 1)]
+        height_bound = mp.mpf(10) ** (ctx.digits / (4 * degree))
         if abs(powers[-1]) < mp.mpf(2) ** -mp.prec:
             break  # zero at this precision, so PSLQ cannot use it
         rel = mp.pslq(powers, maxcoeff=int(height_bound), maxsteps=20000)
@@ -600,7 +587,9 @@ def recognize_algebraic(x, max_degree: int, ctx: PrecisionContext
         return {
             "degree": degree,
             "coeffs": coeffs,
-            "polynomial": _poly_text(coeffs),
+            "polynomial": _signed_sum(
+                (coeffs[i], f"x^{i}" if i > 1 else "x" if i else "")
+                for i in reversed(range(degree + 1))),
             "residual": ctx.str_of(residual),
         }
     return None

@@ -170,25 +170,8 @@ class FormalSeries:
     def __str__(self):
         if self.is_zero:
             return f"0 + O(q^({self.lead}/{self.denom}))"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            mono = "1" if i == 0 else f"q^({i}/{self.denom})"
-            if c == 1 and i != 0:
-                parts.append(f"+ {mono}" if parts else mono)
-            elif c == -1 and i != 0:
-                parts.append(f"- {mono}" if parts else f"-{mono}")
-            else:
-                s = str(c)
-                if parts:
-                    sign = "+ " if not s.startswith("-") else "- "
-                    s = s.lstrip("-")
-                    body = s if i == 0 else f"{s}*{mono}"
-                    parts.append(sign + body)
-                else:
-                    parts.append(s if i == 0 else f"{s}*{mono}")
-        body = " ".join(parts)
+        body = _signed_sum((c, f"q^({i}/{self.denom})" if i else "")
+                           for i, c in enumerate(self.coeffs))
         head = f"q^({self.lead}/{self.denom}) * ({body})"
         tail = f"O(q^({self.lead + len(self.coeffs)}/{self.denom}))"
         return f"{head} + {tail}"
@@ -360,6 +343,23 @@ class FormalSeries:
         return FormalSeries(self.denom, self.lead, list(self.coeffs[:n]))
 
 
+def _signed_sum(pairs) -> str:
+    """``c1*m1 + c2*m2 - ...`` from (coefficient, monomial text) pairs.
+
+    Zero terms are skipped, a unit coefficient is not printed, and the
+    monomial 1 is the empty text, which prints the coefficient alone.
+    """
+    parts = []
+    for c, mono in pairs:
+        if not c:
+            continue
+        mag = abs(c)
+        body = (mono if mag == 1 else f"{mag}*{mono}") if mono else str(mag)
+        sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
+        parts.append(sign + body)
+    return " ".join(parts)
+
+
 def _as_series(x, like: FormalSeries) -> FormalSeries:
     if isinstance(x, FormalSeries):
         return x
@@ -405,22 +405,6 @@ def zero(order: RationalLike) -> FormalSeries:
     order = _frac(order)
     d = order.denominator
     return FormalSeries(d, order.numerator + 1, ())
-
-
-def pochhammer_inf(a_exp: RationalLike, p_exp: RationalLike,
-                   order: RationalLike) -> FormalSeries:
-    """(q^a; q^p)_infinity, exact to the last whole power of q <= ``order``.
-
-    Only finitely many factors reach below any finite order, so the
-    truncated product is exact.
-    """
-    a = _frac(a_exp)
-    p = _frac(p_exp)
-    if a <= 0:
-        raise SeriesError("first exponent must be positive")
-    if p <= 0:
-        raise SeriesError("step exponent must be positive")
-    return _pochhammer_product((a,), p, order)
 
 
 def _pochhammer_product(starts, p: Fraction, order) -> FormalSeries:

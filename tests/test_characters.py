@@ -61,23 +61,24 @@ class TestTau:
         spec = RQSpec(1, 2, 5)
         expect = {1: 1, 2: -1, 3: -2, 4: 3, 5: 1, 6: 2, 7: -6, 8: -5,
                   10: -1, 12: -6}
-        table = TauTable(spec)
+        values = TauTable(spec).fill(12).values
         for n, v in expect.items():
-            assert table.tau(n) == v, n
+            assert values[n] == v, n
 
     def test_fill_matches_direct(self):
-        # the sieved list up to 300, and the divisor path above it
+        # the sieved list against divisor enumeration
         spec = RQSpec(1, 3, 7)
-        filled = TauTable(spec).fill(300)
+        values = TauTable(spec).fill(340).values
+        assert len(values) == 341
         for n in range(1, 341):
-            assert filled.tau(n) == _tau_by_divisors(spec, n), n
+            assert values[n] == _tau_by_divisors(spec, n), n
 
     def test_modulus_multiplier_invariance(self):
         # divisors of 17n beyond those of n are all killed by chi
         spec = RQSpec(1, 4, 17)
-        t = TauTable(spec).fill(17 * 200)
+        values = TauTable(spec).fill(17 * 200).values
         for n in range(1, 201):
-            assert t.tau(17 * n) == t.tau(n)
+            assert values[17 * n] == values[n]
 
 
 def _tau_by_divisors(spec, n):
@@ -88,6 +89,11 @@ def _tau_by_divisors(spec, n):
                for d in range(1, n + 1) if n % d == 0)
 
 
+def _support(rel):
+    """(j, c) for the nonzero coefficients c of tau(j n)."""
+    return tuple((j, c) for j, c in enumerate(rel.coeffs, start=1) if c)
+
+
 class TestScan:
     def test_statuses_match_divisor_recheck(self):
         # a short sample leaves spurious vectors that fail past n_max
@@ -96,8 +102,9 @@ class TestScan:
         assert {r.status for r in rels} == {"re-verified", "empirical"}
         for rel in rels:
             holds = all(
-                sum(c * _tau_by_divisors(spec, j * n) for j, c in rel.support())
-                == 0 for n in range(11, TAU_REVERIFY_FACTOR * 17 + 1))
+                sum(c * _tau_by_divisors(spec, j * n)
+                    for j, c in _support(rel)) == 0
+                for n in range(11, TAU_REVERIFY_FACTOR * 17 + 1))
             assert rel.status == ("re-verified" if holds else "empirical")
 
     def test_window_reaches_every_multiplier(self):
@@ -105,13 +112,13 @@ class TestScan:
         # j <= J: 12 tau(n) + tau(13n) = 0 holds for n <= 12 only
         spec = RQSpec(1, 2, 5)
         rels = tau_relation_scan(spec, 30, 3)
-        status = {tuple(rel.support()): rel.status for rel in rels}
+        status = {_support(rel): rel.status for rel in rels}
         assert status[((1, 12), (13, 1))] == "empirical"
         table = TauTable(spec).fill(30 * 500)
         for rel in rels:
             if rel.status == "re-verified":
                 assert all(sum(c * table.values[j * n]
-                               for j, c in rel.support()) == 0
+                               for j, c in _support(rel)) == 0
                            for n in range(1, 501)), rel.coeffs
 
     def test_finds_prime_periodicity(self):
@@ -130,8 +137,11 @@ class TestScan:
         js = rel.to_json()
         assert js["coeffs"] == [1, 0, 0, 0, -1]
         assert js["status"] == "re-verified"
-        text = str(rel)
-        assert "tau" in text
+        assert str(rel) == "tau(n) - tau(5n) = 0"
+        rel = TauRelation(spec=RQSpec(1, 4, 17), J=16, n_max=289,
+                          coeffs=[-4, 0, 0, 3] + [0] * 11 + [1],
+                          status="re-verified")
+        assert str(rel) == "-4*tau(n) + 3*tau(4n) + tau(16n) = 0"
 
     def test_no_fake_relations(self):
         # columns tau(n), tau(2n), tau(3n) for (1,2,5) admit no integer
@@ -142,7 +152,7 @@ class TestScan:
         table = TauTable(spec).fill(11 * 500)
         for rel in rels:
             for n in range(1, 501):
-                total = sum(c * table.tau(j * n)
+                total = sum(c * table.values[j * n]
                             for j, c in enumerate(rel.coeffs, start=1))
                 assert total == 0, (rel.coeffs, n)
 

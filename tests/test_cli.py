@@ -180,6 +180,25 @@ class TestJobs:
         assert reports[0]["target"] == value
         assert reports[0]["recognized"] is None
 
+    @pytest.mark.parametrize("r", ["1", "9", "16"])
+    def test_recognize_rejects_lattice_artifacts(self, capsys, r):
+        # degree 4 at 50 digits: a height bound of 10^(50/16) keeps the
+        # residual of a chance relation near 10^-12.5, far above 10^-25
+        code, reports, _ = run(capsys, "recognize", "--spec", "1,2,4",
+                               "--r", r)
+        assert code == 0
+        assert reports[0]["recognized"] is None
+
+    @pytest.mark.parametrize("argv, text", [
+        (["--spec", "1,2,4", "--r", "1", "--degree", "8", "--digits", "120"],
+         "32*x^8 - 1"),
+        (["--spec", "1,2,5", "--r", "4"], "x^4 + 2*x^3 - 6*x^2 - 2*x + 1")])
+    def test_recognize_singular_values(self, capsys, argv, text):
+        # R(1,2,4) at r = 1 is 2^(-5/8)
+        code, reports, _ = run(capsys, "recognize", *argv)
+        assert code == 0
+        assert reports[0]["recognized"]["polynomial"] == text
+
     def test_mine_finds_known_equation(self, capsys):
         code, reports, _ = run(capsys, "mine", "--spec", "1,2,4",
                                "--alpha", "1", "--beta", "2", "--box", "4")

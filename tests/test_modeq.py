@@ -32,6 +32,9 @@ class TestPolynomial:
     def test_text_rendering(self):
         p = BivariatePolynomial.build({(4, 0): 1, (0, 2): -1, (4, 4): 4})
         assert str(p) == "u^4 - v^2 + 4*u^4*v^4"
+        p = BivariatePolynomial.build({(10, 0): 1, (5, 1): 1, (5, 0): 11,
+                                       (0, 0): -1})
+        assert str(p) == "-1 + 11*u^5 + u^10 + u^5*v"
 
     def test_degree_and_count(self):
         p = BivariatePolynomial.build({(4, 0): 1, (0, 2): -1, (4, 4): 4})
@@ -69,6 +72,8 @@ class TestMining:
         target = BivariatePolynomial.build(
             {(3, 0): 1, (1, 1): -1, (2, 3): 1, (0, 4): 1})
         assert target in found
+        assert [str(p) for p in found] == ["u^3 - u*v + u^2*v^3 + v^4",
+                                           "u^4 - u^2*v + u^3*v^3 + u*v^4"]
 
     def test_too_small_order_raises(self):
         spec = RQSpec(1, 2, 5)

@@ -10,12 +10,19 @@ from hypothesis import strategies as st
 from rqwork import quantities as Q
 from rqwork import series as S
 from rqwork.characters import RQSpec, SpecError, TauTable, decompose_character
+from test_series import assert_plain, plain_pochhammer
 
 # leading coefficients of the prefactor-free quotients, derived from the
 # infinite products by independent polynomial arithmetic
 STAR_125 = [1, -1, 1, 0, -1, 1, -1, 1, 0, -1, 2, -3, 2, 0, -2, 4]
 STAR_138 = [1, -1, 0, 1, -1, 1, 0, -2, 2, -1, 0, 2, -3, 2, 0, -2]
 STAR_2311 = [1, 0, -1, 1, 0, -1, 1, 0, 0, 0, -1, 1, 0, -2, 2, 1]
+
+
+def pochhammer(a, p, order):
+    """The plain oracle's (q^a; q^p)_inf as a FormalSeries."""
+    terms, trunc = plain_pochhammer(a, p, order)
+    return S.make_series(terms.items(), trunc)
 
 
 def agree_to(a, b, order):
@@ -86,15 +93,9 @@ order_st = st.one_of(
          Fraction(10, 3))
 def test_theta_quotient_matches_agile_quotient(spec, order):
     # the triple-product route against the product route: the quotient of
-    # two one-list agiles by a dense reciprocal, each agile also checked as
-    # the convolution of its two Pochhammer products
+    # two one-list agiles by a dense reciprocal
     a, b, p = spec.a, spec.b, spec.p
-    agiles = []
-    for x in (a, b):
-        agile = Q.agile_series(x, p, order)
-        assert agile == (S.pochhammer_inf(p - x, p, order)
-                         * S.pochhammer_inf(x, p, order)).truncated(order)
-        agiles.append(agile)
+    agiles = [Q.agile_series(x, p, order) for x in (a, b)]
     got = Q.rq_star_series(spec, order)
     assert got == (agiles[0] / agiles[1]).truncated(order)
     assert got.trunc == floor(order)
@@ -108,7 +109,7 @@ class TestLogDerivative:
         m = Q.m_series(spec, 50)
         assert m.coeff(0) == spec.Q
         for n in range(1, 51):
-            assert m.coeff(n) == -table.tau(n)
+            assert m.coeff(n) == -table.values[n]
 
     def test_m_is_log_derivative_of_r(self):
         for abp in [(1, 2, 5), (2, 3, 11)]:
@@ -123,7 +124,7 @@ class TestLogDerivative:
         spec = RQSpec(2, 3, 11)
         table = TauTable(spec).fill(40)
         log_r = S.make_series(
-            [(n, Fraction(-table.tau(n), n)) for n in range(1, 41)], 40)
+            [(n, Fraction(-table.values[n], n)) for n in range(1, 41)], 40)
         lhs = log_r.q_derivative()
         rhs = Q.m_series(spec, 40) - S.constant(spec.Q, 40)
         assert agree_to(lhs, rhs, 40)
@@ -131,14 +132,14 @@ class TestLogDerivative:
 
 class TestEtaBuilders:
     def test_f_minus_q_is_pochhammer(self):
-        assert Q.eta_quotient_series(0, {1: 1}, 80) \
-            == S.pochhammer_inf(1, 1, 80)
+        assert_plain(Q.eta_quotient_series(0, {1: 1}, 80),
+                     plain_pochhammer(1, 1, 80))
 
     def test_quotient_builder(self):
         s = Q.eta_quotient_series(Fraction(1, 5), {1: 1, 5: -1}, 12)
         direct = (S.make_series([(Fraction(1, 5), 1)], 12)
-                  * S.pochhammer_inf(1, 1, 12)
-                  * S.pochhammer_inf(5, 5, 12).inverse()).truncated(12)
+                  * pochhammer(1, 1, 12)
+                  * pochhammer(5, 5, 12).inverse()).truncated(12)
         assert s == direct
 
     def test_prefactor_beyond_order_raises(self):
@@ -151,8 +152,8 @@ class TestEtaBuilders:
 
     def test_x_product(self):
         # X(-q) = prod (1 - q^(2n+1)) = f(-q)/f(-q^2)
-        assert S.pochhammer_inf(1, 2, 60) \
-            == Q.eta_quotient_series(0, {1: 1, 2: -1}, 60)
+        assert_plain(Q.eta_quotient_series(0, {1: 1, 2: -1}, 60),
+                     plain_pochhammer(1, 2, 60))
 
     def test_rq_is_eta_quotient_of_divisor_decomposition(self):
         # chi = sum_d b_d [d | n] makes R = q^Q prod_d f(-q^d)^(b_d).  For

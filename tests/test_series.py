@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rqwork import _backend, series
+from rqwork.quantities import agile_series
 from rqwork.series import (FormalSeries, SeriesError, TruncationError,
-                           constant, make_series, pochhammer_inf, zero)
+                           constant, make_series, zero)
 
 
 def agree_to(a, b, order):
@@ -199,10 +200,29 @@ class TestStructureOps:
         assert agree_to(a, a, Fraction(7, 3))
 
 
+class TestRendering:
+    def test_signed_sum_text(self):
+        # exponents relative to the lead, unit coefficients dropped,
+        # Fraction coefficients printed as ratios
+        s = make_series([(Fraction(-1, 3), Fraction(-3, 2)), (0, 1),
+                         (Fraction(1, 3), -1), (Fraction(2, 3), 2),
+                         (Fraction(4, 3), Fraction(-5, 7)),
+                         (Fraction(5, 3), 1)], 2)
+        assert str(s) == ("q^(-1/3) * (-3/2 + q^(1/3) - q^(2/3) + 2*q^(3/3)"
+                          " - 5/7*q^(5/3) + q^(6/3)) + O(q^(7/3))")
+        assert str(-s) == ("q^(-1/3) * (3/2 - q^(1/3) + q^(2/3) - 2*q^(3/3)"
+                           " + 5/7*q^(5/3) - q^(6/3)) + O(q^(7/3))")
+        assert str(make_series([(1, -1), (2, 10 ** 20)], 3)) \
+            == "q^(1/1) * (-1 + 100000000000000000000*q^(1/1)) + O(q^(4/1))"
+        assert str(zero(Fraction(7, 3))) == "0 + O(q^(8/3))"
+
+
 class TestPochhammer:
     def test_euler_function_pentagonal(self):
-        # (q;q)_inf = sum (-1)^k q^(k(3k-1)/2)
-        f = pochhammer_inf(1, 1, 60)
+        # (q;q)_inf = sum (-1)^k q^(k(3k-1)/2), the Euler product kernel
+        # with every factor (1 - q^e), e <= 60, once
+        f = FormalSeries(1, 0, series._euler_product(
+            dict.fromkeys(range(1, 61), 1), 60))
         expect = {0: 1}
         k = 1
         while True:
@@ -220,16 +240,19 @@ class TestPochhammer:
             assert f.coeff(n) == expect.get(n, 0), n
 
     def test_single_factor_expansion(self):
-        # (q^3; q^5)_inf starts 1 - q^3 - q^8 + ...
-        f = pochhammer_inf(3, 5, 12)
-        assert f.coeff(0) == 1
-        assert f.coeff(3) == -1
-        assert f.coeff(8) == -1
-        assert f.coeff(11) == 1  # q^3 * q^8
+        # (q^3; q^5)_inf = 1 - q^3 - q^8 + q^11 + ..., the oracle that the
+        # agile property test below multiplies out; times
+        # (q^2; q^5)_inf = 1 - q^2 - q^7 + q^9 - q^12 + ... by hand, it is
+        # the agile [3,5;q]
+        assert plain_pochhammer(3, 5, 12) == (
+            {0: 1, 3: -1, 8: -1, 11: 1}, 12)
+        assert agile_series(3, 5, 12) == make_series(
+            [(0, 1), (2, -1), (3, -1), (5, 1), (7, -1), (8, -1), (9, 1),
+             (10, 2), (11, 1), (12, -2)], 12)
 
     def test_fractional_step(self):
-        f = pochhammer_inf(Fraction(1, 2), Fraction(1, 2), 3)
-        g = pochhammer_inf(1, 1, 6).substitute_power(Fraction(1, 2))
+        f = agile_series(Fraction(1, 2), Fraction(3, 2), 3)
+        g = agile_series(1, 3, 6).substitute_power(Fraction(1, 2))
         assert f == g
 
 
@@ -399,8 +422,12 @@ positive_st = st.fractions(min_value=0, max_value=3,
 @settings(max_examples=100, deadline=None)
 @given(positive_st, positive_st,
        st.fractions(min_value=0, max_value=12, max_denominator=6))
-def test_pochhammer_matches_plain_product(a, p, order):
-    assert_plain(pochhammer_inf(a, p, order), plain_pochhammer(a, p, order))
+def test_pochhammer_matches_plain_product(a, b, order):
+    # the agile [a, a+b; q] against its two progressions multiplied out
+    p = a + b
+    assert_plain(agile_series(a, p, order),
+                 plain_mul(plain_pochhammer(a, p, order),
+                           plain_pochhammer(b, p, order)))
 
 
 @settings(max_examples=100, deadline=None)
