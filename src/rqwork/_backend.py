@@ -3,15 +3,15 @@
 All functions operate on sequences (lists or tuples) of exact numbers
 (``int`` or ``fractions.Fraction``) and never introduce floats.
 
-``convolve`` and ``reciprocal`` share one multiply path, chosen from the
+``convolve`` and ``divide`` share one multiply path, chosen from the
 operands alone:
 
 1. Common stride: when every nonzero index of both operands is a multiple
    of some s > 1, the kernel runs on every s-th coefficient and spreads
    the result back.
 2. Sparse schoolbook: the outer loop runs over the nonzero terms of the
-   operand with fewer of them; ``reciprocal`` reads only the nonzero
-   terms of its divisor.
+   operand with fewer of them; ``divide`` reads only the nonzero terms
+   of its divisor, in one recurrence that also gives ``reciprocal``.
 3. Kronecker substitution: when both factors are all ``int`` and the
    sparser one has at least ``KRONECKER_MIN_TERMS`` nonzero terms, each
    factor is packed into one ``int`` and multiplied once by CPython's
@@ -90,28 +90,45 @@ def _pack(x, k):
     return u - (((u >> (8 * k - 1)) & low) << (8 * k))
 
 
-def reciprocal(b, n):
-    """First ``n`` coefficients of 1/B for a list with invertible b[0].
+def divide(a, b, n):
+    """First ``n`` coefficients of A/B for lists with invertible b[0].
 
-    Integer input stays integer when b[0] is a unit (+1 or -1).
+    One sparse recurrence y_k = (a_k - sum_i b_i y_(k-i)) / b[0] over the
+    nonzero terms b_i past b[0] (Knuth, TAOCP vol. 2, section 4.7), run on
+    the common stride of both lists like ``convolve``.  Integer input
+    stays integer when b[0] is a unit (+1 or -1).
+
+    When b has a stride of its own that a lacks, the recurrence runs on
+    every coefficient and reads each term of b at every step, up to s
+    times the inner steps of a reciprocal on b's stride s followed by a
+    product.
     """
+    a = a[:n]
     b0 = b[0]
     inv0 = b0 if b0 in (1, -1) else Fraction(1, b0)
+    ia = list(compress(range(len(a)), a))
     ib = list(compress(range(1, min(n, len(b))), b[1:n]))
-    s = gcd(*ib) or 1
+    out = [0 * inv0] * n   # zeros of the same type as the terms
+    if not ia:
+        return out
+    s = gcd(*ia, *ib) or n
     # B(q) = C(q^s): only the nonzero terms of C past C(0) are read
     terms = [(i // s, b[i]) for i in ib]
-    inv = [inv0]
-    for k in range(1, len(range(0, n, s))):
-        t = 0
+    y = list(a[::s])
+    y += [0] * (len(range(0, n, s)) - len(y))
+    for k, t in enumerate(y):
         for i, bi in terms:
             if i > k:
                 break
-            t += bi * inv[k - i]
-        inv.append(-t * inv0)
-    out = [0 * inv0] * n   # zeros of the same type as the terms
-    out[::s] = inv
+            t -= bi * y[k - i]
+        y[k] = t * inv0
+    out[::s] = y
     return out
+
+
+def reciprocal(b, n):
+    """First ``n`` coefficients of 1/B; perfbench wraps this name."""
+    return divide((1,), b, n)
 
 
 def bareiss_rows(rows, pivot_row, col, piv, prev, start):

@@ -9,6 +9,7 @@ machine version of solving that linear system over a table of tau values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional
 
@@ -47,7 +48,7 @@ class RQSpec:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "p", p)
 
-    @property
+    @cached_property
     def Q(self) -> Fraction:
         return -(self.a - self.b) / 2 + (self.a ** 2 - self.b ** 2) / (2 * self.p)
 
@@ -111,12 +112,14 @@ class TauTable:
         return self.chi_row[n % p]
 
     def fill(self, n_max: int):
-        """Sieve tau for all n <= n_max, one pass per divisor d."""
+        """Sieve tau to n_max, one pass per divisor d with chi(d) != 0."""
         totals = [0] * (n_max + 1)
         row, p = self.chi_row, len(self.chi_row)
-        for d in range(1, n_max + 1):
-            x = row[d % p]
-            if x:
+        for r, x in enumerate(row):
+            if not x:
+                continue
+            # the divisors d = r (mod p), where chi(d) = x
+            for d in range(r or p, n_max + 1, p):
                 step = x * d
                 for m in range(d, n_max + 1, d):
                     totals[m] += step

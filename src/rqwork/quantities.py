@@ -84,13 +84,21 @@ def _theta_terms(x, p, d, n) -> Dict[int, int]:
 
 
 def product_over_X(spec: RQSpec, order: int) -> FormalSeries:
-    """prod (1-q^n)^X(n), factor by factor with exact arithmetic."""
+    """prod (1-q^n)^X(n), factor by factor with exact arithmetic.
+
+    Each factor is the ``int`` list of 1 - q^n known to ``order``; it is
+    multiplied or divided through :class:`FormalSeries`.
+    """
     table = TauTable(spec)
-    result = S.constant(1, order)
-    for n in range(1, int(order) + 1):
+    top = S._whole_steps(order, 1)
+    one = [1] + [0] * top
+    result = FormalSeries(1, 0, one)
+    for n in range(1, top + 1):
         x = table.chi(n)
         if x:
-            factor = S.make_series([(0, 1), (n, -1)], order)
+            cs = one.copy()
+            cs[n] = -1
+            factor = FormalSeries(1, 0, cs)
             result = result * factor if x > 0 else result / factor
     return result.truncated(order)
 

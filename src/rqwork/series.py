@@ -15,10 +15,10 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import floor, gcd, lcm
-from operator import sub
+from operator import add, sub
 from typing import Iterable, Sequence, Tuple, Union
 
-from ._backend import convolve, reciprocal
+from ._backend import convolve, divide, reciprocal
 
 # perfbench/run.py records these two names in every run record
 COEFF_BACKEND = "fractions"
@@ -223,14 +223,10 @@ class FormalSeries:
         if n <= 0:
             return FormalSeries(d, trunc + 1, ())
         out = [0] * n
-        for i, c in enumerate(a.coeffs):
-            j = a.lead + i - lead
-            if 0 <= j < n:
-                out[j] += c
-        for i, c in enumerate(b.coeffs):
-            j = b.lead + i - lead
-            if 0 <= j < n:
-                out[j] += c
+        for x in (a, b):
+            j = x.lead - lead
+            m = min(len(x.coeffs), n - j)
+            out[j:j + m] = map(add, out[j:j + m], x.coeffs[:m])
         return FormalSeries(d, lead, out)
 
     def __radd__(self, other):
@@ -269,7 +265,13 @@ class FormalSeries:
         if isinstance(other, (int, Fraction)):
             return self * (1 / _frac(other))
         other = _as_series(other, like=self)
-        return self * other.inverse()
+        if other.is_zero:
+            raise SeriesError("division by zero series")
+        a, b, d = self._aligned(other)
+        if a.is_zero:
+            return FormalSeries(d, a.lead - b.lead, ())
+        n = min(len(a.coeffs), len(b.coeffs))
+        return FormalSeries(d, a.lead - b.lead, divide(a.coeffs, b.coeffs, n))
 
     def __rtruediv__(self, other):
         return _as_series(other, like=self) / self

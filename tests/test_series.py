@@ -391,6 +391,13 @@ def test_matches_plain_fraction_arithmetic(a, b, c, k, m):
         assert_plain(s.substitute_power(m),
                      ({e * m: v for e, v in x[0].items()}, x[1] * m))
         assert_plain(s.inverse(), plain_inverse(x))
+    if y[0]:
+        assert_plain(s / t, plain_mul(x, plain_inverse(y)))
+        if x[0]:
+            # the quotient of series on two lattices
+            assert_plain(s.substitute_power(m) / t,
+                         plain_mul(({e * m: v for e, v in x[0].items()},
+                                    x[1] * m), plain_inverse(y)))
     if k > 0 or x[0]:
         base = x if k > 0 else plain_inverse(x)
         want = base
@@ -538,6 +545,25 @@ def test_reciprocal_matches_plain_inverse(b, b0, data):
         assert_int_closed((b,), got)
 
 
+@settings(max_examples=80, deadline=None)
+@given(kernel_list(max_terms=60), kernel_list(max_terms=40),
+       st.sampled_from([1, -1, 3, -2 ** 70]),
+       st.integers(min_value=1, max_value=3), st.data())
+def test_divide_matches_plain_quotient(a, b, b0, stride, data):
+    # a stride shared by both operands, beyond any each has of its own
+    if data.draw(st.booleans()):
+        a = [0] * len(a)
+    a, b = spread(a, stride), spread([b0] + b[1:], stride)
+    n = data.draw(st.sampled_from(
+        [1, len(a) // 2 or 1, len(b), len(a) + len(b) + stride]))
+    got = _backend.divide(tuple(a), b, n)
+    inv = plain_inverse((plain(b, 0)[0], Fraction(n - 1)))
+    terms = plain_mul((plain(a, 0)[0], Fraction(n - 1)), inv)[0]
+    assert got == [terms.get(k, 0) for k in range(n)]
+    if b0 in (1, -1):
+        assert_int_closed((a, b), got)
+
+
 @settings(max_examples=40, deadline=None)
 @given(kernel_list(), kernel_list(max_terms=60),
        st.integers(min_value=-2, max_value=2),
@@ -549,6 +575,34 @@ def test_long_series_match_plain_fraction_arithmetic(a, b, la, lb):
     assert_plain(s * s, plain_mul(x, x))
     if y[0]:
         assert_plain(t.inverse(), plain_inverse(y))
+        assert_plain(s / t, plain_mul(x, plain_inverse(y)))
+
+
+wide_coeff_st = st.one_of(
+    coeff_st, st.integers(min_value=-2 ** 80, max_value=2 ** 80),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7))
+
+
+@st.composite
+def formal_st(draw):
+    """A series on a lattice of denominator 1-6 with any lead."""
+    return FormalSeries(draw(st.integers(min_value=1, max_value=6)),
+                        draw(st.integers(min_value=-6, max_value=6)),
+                        draw(st.lists(wide_coeff_st, max_size=10)))
+
+
+def fields(s):
+    return s.denom, s.lead, [(type(c), c) for c in s.coeffs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(formal_st(), formal_st())
+def test_quotient_is_product_with_inverse(s, t):
+    if t.is_zero:
+        with pytest.raises(SeriesError):
+            s / t
+        return
+    assert fields(s / t) == fields(s * t.inverse())
 
 
 def test_multiply_path_branches(monkeypatch):
