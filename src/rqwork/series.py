@@ -268,8 +268,6 @@ class FormalSeries:
         if other.is_zero:
             raise SeriesError("division by zero series")
         a, b, d = self._aligned(other)
-        if a.is_zero:
-            return FormalSeries(d, a.lead - b.lead, ())
         n = min(len(a.coeffs), len(b.coeffs))
         return FormalSeries(d, a.lead - b.lead, divide(a.coeffs, b.coeffs, n))
 
