@@ -13,13 +13,14 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional
 
+from .errors import EngineError
 from .linalg import _annihilates, nullspace_rational
 from .series import _frac, _signed_sum
 
 TAU_REVERIFY_FACTOR = 4
 
 
-class SpecError(ValueError):
+class SpecError(EngineError):
     pass
 
 

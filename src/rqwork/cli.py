@@ -15,13 +15,14 @@ import json
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import mpmath
+# only the standard library up front: each runner imports the engine it
+# runs, so a job loads no engine it does not use (``rq tau`` no mpmath)
+from .errors import EngineError
 
-from . import modeq, numerics, quantities
-from .characters import RQSpec, SpecError, TauTable, tau_relation_scan
-from .modeq import MiningJob, SeriesRecipe
-from .series import SeriesError
+if TYPE_CHECKING:
+    from .characters import RQSpec
 
 SCHEMA = "rq-report/1"
 
@@ -42,9 +43,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _spec(text: str) -> RQSpec:
+    from .characters import RQSpec
     try:
         return RQSpec.parse(text)
-    except (SpecError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc))
 
 
@@ -72,6 +74,7 @@ def _count(text: str) -> int:
 
 def _number(text: str) -> str:
     """A finite decimal, checked here and kept as typed for the report."""
+    import mpmath
     try:
         finite = mpmath.isfinite(mpmath.mpf(text))
     except ValueError:
@@ -180,7 +183,8 @@ def _job_config(args) -> dict:
     for key, val in sorted(vars(args).items()):
         if key in skip or key == "command" or val is None:
             continue
-        cfg[key] = str(val) if isinstance(val, (Fraction, RQSpec)) else val
+        # rationals and specs are reported as text
+        cfg[key] = val if isinstance(val, (str, int)) else str(val)
     return cfg
 
 
@@ -206,6 +210,7 @@ def _wrap(args, payload: dict) -> dict:
 
 
 def _run_series(args):
+    from . import quantities
     s = quantities.rq_star_series(args.spec, args.order) if args.star \
         else quantities.rq_series(args.spec, args.order)
     payload = {"terms": [[str(e), str(c)] for e, c in s.terms()],
@@ -218,11 +223,13 @@ def _run_series(args):
 
 
 def _run_tau(args):
+    from .characters import TauTable
     values = TauTable(args.spec).fill(args.nmax).values[1:]
     return [_wrap(args, {"tau": values})], 0
 
 
 def _run_tau_scan(args):
+    from .characters import tau_relation_scan
     relations = tau_relation_scan(args.spec, args.J, args.nmax)
     payload = {"relations": [rel.to_json() for rel in relations],
                "count": len(relations)}
@@ -230,6 +237,7 @@ def _run_tau_scan(args):
 
 
 def _run_mine(args):
+    from .modeq import MiningJob, SeriesRecipe, mine
     u = SeriesRecipe(args.spec, args.alpha)
     v = SeriesRecipe(args.spec2 or args.spec, args.beta)
     if args.total is not None:
@@ -238,12 +246,13 @@ def _run_mine(args):
         shape, size = "box", args.box if args.box is not None else 4
     job = MiningJob(u, v, shape=shape, size=size, order_steps=args.order)
     report = {}
-    modeq.mine(job, report=report)
+    mine(job, report=report)
     status = 2 if report["dropped_candidates"] else 0
     return [_wrap(args, report)], status
 
 
 def _run_verify_identities(args):
+    from . import quantities
     registry = quantities.identity_registry()
     if args.only:
         registry = [rec for rec in registry if rec.id == args.only]
@@ -268,6 +277,7 @@ def _unit_q(text: str, ctx):
 
 
 def _run_eval(args):
+    from . import numerics, quantities
     ctx = numerics.context(args.digits)
     if args.r is not None:
         q = numerics.nome(args.r, ctx)
@@ -275,7 +285,7 @@ def _run_eval(args):
         q = _unit_q(args.q, ctx)
     value = numerics.eval_rq(args.spec, q, ctx)
     # independent cross-check through the exact series
-    order = numerics.series_order_for(float(q), ctx)
+    order = numerics.series_order_for(q, ctx)
     series_value = numerics.eval_series(
         quantities.rq_series(args.spec, order), q, ctx)
     payload = {"q": ctx.str_of(q), "value": ctx.str_of(value),
@@ -285,6 +295,7 @@ def _run_eval(args):
 
 
 def _run_check(args):
+    from . import numerics
     ctx = numerics.context(args.digits)
     case = args.case
     if case.startswith("derivative-"):
@@ -314,6 +325,7 @@ def _run_check(args):
 
 
 def _run_recognize(args):
+    from . import numerics
     ctx = numerics.context(args.digits)
     if args.value is not None:
         x = ctx.mp.mpf(args.value)
@@ -344,11 +356,7 @@ def dispatch(argv) -> int:
     try:
         args = parser.parse_args(argv)
         reports, status = _RUNNERS[args.command](args)
-    except UsageError as exc:
-        print(f"rq: {exc}", file=sys.stderr)
-        return 1
-    except (SpecError, SeriesError, modeq.MiningError,
-            numerics.NumericsError) as exc:
+    except (UsageError, EngineError) as exc:
         print(f"rq: {exc}", file=sys.stderr)
         return 1
     _emit(reports, args)

@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Tuple
 from . import quantities as Qm
 from . import series as S
 from .characters import RQSpec
+from .errors import EngineError
 from .linalg import nullspace_rational
 from .series import FormalSeries, _frac
 
@@ -243,7 +244,7 @@ def _coefficient_matrix(columns: List[FormalSeries]):
     return rows, Fraction(n_hi, denom)
 
 
-class MiningError(ValueError):
+class MiningError(EngineError):
     pass
 
 

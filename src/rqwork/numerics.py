@@ -23,11 +23,12 @@ import mpmath
 
 from . import quantities as Qm
 from .characters import RQSpec
+from .errors import EngineError
 from .modeq import n_series
 from .series import FormalSeries, _frac, _signed_sum
 
 
-class NumericsError(ValueError):
+class NumericsError(EngineError):
     pass
 
 
@@ -201,9 +202,13 @@ def series_derivative(series: FormalSeries) -> FormalSeries:
     return series.q_derivative().shifted(-1)
 
 
-def series_order_for(q_mag, ctx: PrecisionContext) -> int:
-    """Truncation order so the series tail is below working precision."""
-    need = (ctx.digits + ctx.GUARD) * log(10) / (-log(q_mag))
+def series_order_for(q, ctx: PrecisionContext) -> int:
+    """Truncation order so the series tail is below working precision.
+
+    The log is taken in the mpmath context, so a nome below the smallest
+    double still gives an order.
+    """
+    need = (ctx.digits + ctx.GUARD) * log(10) / -ctx.mp.log(q)
     return int(ceil(need)) + 10
 
 
@@ -386,7 +391,7 @@ def check_derivative_formulas(case: str, r, ctx: PrecisionContext) -> dict:
     mp = ctx.mp
     data = singular_modulus(r, ctx)
     k, kp, K, q = data.k, data.kp, data.K, data.q
-    order = series_order_for(float(q), ctx)
+    order = series_order_for(q, ctx)
 
     if case == "rgg":
         spec = RQSpec(1, 3, 8)

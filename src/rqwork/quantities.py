@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import ceil, gcd, lcm
 from typing import Dict
 
@@ -267,12 +268,14 @@ def _tau_period_builder(spec: RQSpec):
     return build
 
 
+@cache
 def identity_registry():
     """The built-in catalog of identities, in verification-ready form.
 
     Entries marked "proved" must verify at any order; "conjectured" ones
     are empirical observations whose reports carry either the verified
-    order or the first failing exponent.
+    order or the first failing exponent.  The catalog is built once per
+    process: its records are frozen and their builders keep no state.
     """
     R = rq_series
     eta = eta_quotient_series
@@ -476,4 +479,4 @@ def identity_registry():
                 eta(-3, {3: 24, 6: -24}, order))
     add("cubic-x-product", "conjectured", 3, b_cubic_x_product)
 
-    return entries
+    return tuple(entries)

@@ -19,6 +19,7 @@ from operator import add, sub
 from typing import Iterable, Sequence, Tuple, Union
 
 from ._backend import convolve, divide, reciprocal
+from .errors import EngineError
 
 # perfbench/run.py records these two names in every run record
 COEFF_BACKEND = "fractions"
@@ -27,7 +28,7 @@ Rational = Fraction
 RationalLike = Union[int, str, Fraction]
 
 
-class SeriesError(ValueError):
+class SeriesError(EngineError):
     pass
 
 

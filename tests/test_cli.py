@@ -8,9 +8,12 @@ import sys
 import pytest
 
 from rqwork import cli, numerics, quantities
+from rqwork.characters import SpecError
 from rqwork.cli import SCHEMA, dispatch
+from rqwork.modeq import MiningError
+from rqwork.numerics import NumericsError
 from rqwork.quantities import IdentityRecord
-from rqwork.series import constant, make_series
+from rqwork.series import SeriesError, constant, make_series
 
 
 def run(capsys, *argv):
@@ -18,6 +21,16 @@ def run(capsys, *argv):
     out = capsys.readouterr()
     reports = [json.loads(line) for line in out.out.splitlines() if line]
     return code, reports, out.err
+
+
+def fresh_python(*args):
+    """Run a new interpreter on this checkout's sources."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]]
+                 if os.environ.get("PYTHONPATH") else [])))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
 
 
 class TestExitCodes:
@@ -106,15 +119,8 @@ class TestParserReuse:
     def test_each_parse_equals_a_fresh_process(self, capsys, first, second):
         # one parser serves every dispatch in a process; a parse must see
         # neither the options nor the failure of the one before it
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + ([os.environ["PYTHONPATH"]]
-                     if os.environ.get("PYTHONPATH") else [])))
-
         def alone(argv):
-            proc = subprocess.run([sys.executable, "-m", "rqwork.cli", *argv],
-                                  capture_output=True, text=True, env=env,
-                                  timeout=120)
+            proc = fresh_python("-m", "rqwork.cli", *argv)
             return proc.returncode, proc.stdout, proc.stderr
 
         def in_process(argv):
@@ -127,6 +133,66 @@ class TestParserReuse:
         assert cli.build_parser() is parser
         assert together == [alone(argv) for argv in (first, second)]
         assert together[1][0] == 0
+
+
+# the test modules import every engine, so only a new interpreter shows
+# what ``rq`` itself loads
+ENGINES = {"mpmath"} | {f"rqwork.{name}" for name in (
+    "numerics", "modeq", "quantities", "characters", "linalg", "series",
+    "_backend")}
+# runs ``rq`` as ``python -m rqwork.cli`` does, then lists every loaded module
+RUN_AND_LIST = """
+import runpy, sys
+try:
+    runpy.run_module("rqwork.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print(*sorted(sys.modules))
+"""
+
+
+class TestStartup:
+    def test_import_loads_no_engine(self):
+        proc = fresh_python("-c",
+                            "import sys, rqwork.cli; print(*sorted(sys.modules))")
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "rqwork.cli" in loaded
+        assert not loaded & ENGINES
+
+    @pytest.mark.parametrize("argv,used,unused", [
+        (["tau", "--spec", "1,2,5", "--nmax", "8"], {"rqwork.characters"},
+         {"mpmath", "rqwork.numerics", "rqwork.modeq", "rqwork.quantities"}),
+        (["mine", "--spec", "1,2,5", "--box", "2"], {"rqwork.modeq"},
+         {"mpmath", "rqwork.numerics"}),
+    ], ids=["tau", "mine"])
+    def test_command_loads_only_its_engines(self, argv, used, unused):
+        proc = fresh_python("-c", RUN_AND_LIST, *argv)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.splitlines()[-1].split())
+        assert used <= loaded
+        assert not loaded & unused
+
+    @pytest.mark.parametrize("argv,error", [
+        (["series", "--spec", "1,2,5", "--order", "1/5"], SpecError),
+        (["series", "--spec", "1,2,5", "--star", "--order", "-1"],
+         SeriesError),
+        (["mine", "--spec", "1,2,5", "--box", "1", "--order", "3"],
+         MiningError),
+        (["recognize", "--value", "0.5", "--degree", "9", "--digits", "10"],
+         NumericsError),
+    ], ids=["spec", "series", "mining", "numerics"])
+    def test_engine_error_is_one_line(self, argv, error):
+        # the engine raises its own error, and a new process that imported
+        # no engine before the job still reports it as a usage error
+        args = cli.build_parser().parse_args(argv)
+        with pytest.raises(error):
+            cli._RUNNERS[args.command](args)
+        assert issubclass(error, ValueError)
+        proc = fresh_python("-m", "rqwork.cli", *argv)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("rq: ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestReports:
@@ -235,13 +301,26 @@ class TestJobs:
         err = float(reports[0]["cross_check_abs_err"])
         assert err < 1e-25
 
-    @pytest.mark.parametrize("r", ["1000", "1/1000"])
+    # r = 10^8 puts the nome far below the smallest double
+    @pytest.mark.parametrize("r", ["1000", "1/1000", "100000000"])
     def test_eval_extreme_r(self, capsys, r):
         code, reports, _ = run(capsys, "eval", "--spec", "1,2,5", "--r", r,
                                "--digits", "30")
         assert code == 0
         ctx = numerics.context(30)
         assert reports[0]["q"] == ctx.str_of(numerics.nome(r, ctx))
+
+    def test_eval_below_smallest_double(self, capsys):
+        code, reports, _ = run(capsys, "eval", "--spec", "1,2,5",
+                               "--q", "1e-400")
+        assert code == 0
+        assert reports[0]["value"] == reports[0]["series_value"] == "1.0e-80"
+
+    def test_check_below_smallest_double(self, capsys):
+        code, reports, _ = run(capsys, "check", "--case", "derivative-cubic",
+                               "--r", "1000000")
+        assert code == 0
+        assert reports[0]["verdict"] == "confirmed"
 
     def test_check_refuted_exits_two(self, capsys):
         # the printed closed form this check adjudicates is wrong, but the

@@ -237,6 +237,9 @@ class TestRegistry:
         ids = [rec.id for rec in registry]
         assert len(ids) == len(set(ids))
         assert all(rec.status in ("proved", "conjectured") for rec in registry)
+        # built once per process and shared, so it must not be mutable
+        assert isinstance(registry, tuple)
+        assert Q.identity_registry() is registry
 
     def test_short_verification_all_pass(self):
         for rec in Q.identity_registry():
